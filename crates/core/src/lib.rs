@@ -50,8 +50,8 @@ pub use graph_layers::GraphLayers;
 pub use model::IntelliTag;
 pub use qa_matcher::{QaMatcher, QaMatcherConfig};
 pub use serving::{
-    ModelServer, PendingReply, Poll, QuestionResponse, Submission, TagClickResponse, TagService,
-    RECENT_LATENCY_WINDOW,
+    Completion, CompletionQueue, ModelServer, QuestionResponse, Reply, TagClickResponse,
+    TagService, RECENT_LATENCY_WINDOW,
 };
 pub use sharded::{
     ModelSwap, RoutingPolicy, RuntimeKnobs, ShardConfig, ShardedServer, ShedReason, SwapPayload,

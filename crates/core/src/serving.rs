@@ -10,7 +10,7 @@
 //! the paper's §VI latency budget ("respond in under 150 ms", Table VI) is
 //! only actionable when you can see where the time goes.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use intellitag_baselines::SequenceRecommender;
 use intellitag_obs::{
@@ -22,90 +22,83 @@ use intellitag_search::{Hit, KbWarehouse};
 
 use crate::cache::{LruCache, ResponseCache};
 use crate::qa_matcher::QaMatcher;
+use crate::ShedReason;
 
 /// How many recent raw latency samples the server retains for
 /// [`ModelServer::latencies_us`]. Aggregate statistics come from the
 /// bounded histograms; the ring only serves debugging and the benches.
 pub const RECENT_LATENCY_WINDOW: usize = 1024;
 
-/// The outcome of polling a [`PendingReply`].
+/// One served reply, whichever request kind asked for it — the single
+/// reply representation every front releases and every caller receives.
 #[derive(Debug)]
-pub enum Poll<T> {
-    /// The reply arrived.
-    Ready(T),
-    /// Still in flight — poll again later.
-    NotYet,
-    /// The serving worker dropped the reply channel (the front died or was
-    /// torn down mid-request); the reply will never arrive.
-    Lost,
+pub enum Reply {
+    /// Answer to a typed question.
+    Question(QuestionResponse),
+    /// Answer to a tag click.
+    TagClick(TagClickResponse),
+    /// A tenant's cold-start tags.
+    ColdStart(Vec<usize>),
 }
 
-/// A reply that has been accepted by a front but not produced yet: the
-/// receiving half of the front's per-request reply channel, plus an optional
-/// client-observed-latency hook recorded when the reply lands. This is what
-/// lets a caller keep many correlated requests in flight against a
-/// concurrent front (e.g. the gateway's pipelined binary connections) and
-/// collect completions out of order.
+/// A finished submission as it lands on its caller's completion queue.
 #[derive(Debug)]
-pub struct PendingReply<T> {
-    rx: std::sync::mpsc::Receiver<T>,
-    /// `(histogram, timer)` recorded once on completion — the sharded front
-    /// uses this to keep `sharded.request_us{shard=..}` accurate for
-    /// submitted (non-blocking-wait) requests too.
-    latency: Option<(Arc<Histogram>, SpanTimer)>,
+pub struct Completion {
+    /// The caller-chosen token passed at submit time, echoed verbatim — the
+    /// caller's key back to whatever it remembers about the request.
+    pub token: u64,
+    /// The reply; `None` when the front dropped the request unserved (its
+    /// worker died or was torn down mid-request) and no reply will come.
+    pub reply: Option<Reply>,
 }
 
-impl<T> PendingReply<T> {
-    /// Wraps a raw reply receiver.
-    pub fn new(rx: std::sync::mpsc::Receiver<T>) -> Self {
-        PendingReply { rx, latency: None }
+/// A caller's completion queue: every request a caller submits names the
+/// queue its reply goes to, so one thread can keep many requests in flight
+/// against a concurrent front and **block** on the receiving end for
+/// whichever finishes first (the gateway's binary connections hold one
+/// queue per connection; the blocking `handle_*` calls a queue of one).
+pub type CompletionQueue = mpsc::Sender<Completion>;
+
+/// The reply half riding an accepted request: delivers exactly one
+/// [`Completion`] to the caller's queue — the reply when the request is
+/// served, or `reply: None` if it is dropped unserved — so a caller blocked
+/// on its queue always wakes.
+#[derive(Debug)]
+pub(crate) struct ReplyTo {
+    /// `None` once the completion is delivered (or the request refused).
+    queue: Option<CompletionQueue>,
+    token: u64,
+}
+
+impl ReplyTo {
+    pub(crate) fn new(queue: CompletionQueue, token: u64) -> Self {
+        ReplyTo { queue: Some(queue), token }
     }
 
-    /// Records the client-observed latency into `hist` when the reply lands.
-    pub fn with_latency(mut self, hist: Arc<Histogram>, timer: SpanTimer) -> Self {
-        self.latency = Some((hist, timer));
-        self
-    }
-
-    fn complete(&mut self, value: T) -> T {
-        if let Some((hist, timer)) = self.latency.take() {
-            hist.record(timer.elapsed_us());
+    fn complete(&mut self, reply: Option<Reply>) {
+        if let Some(queue) = self.queue.take() {
+            // A send error means the caller stopped listening (e.g. its
+            // connection closed); the request was still served.
+            let _ = queue.send(Completion { token: self.token, reply });
         }
-        value
     }
 
-    /// Non-blocking poll.
-    pub fn try_take(&mut self) -> Poll<T> {
-        match self.rx.try_recv() {
-            Ok(v) => Poll::Ready(self.complete(v)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Poll::NotYet,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Poll::Lost,
-        }
+    /// Releases the reply to the caller's queue.
+    pub(crate) fn send(mut self, reply: Reply) {
+        self.complete(Some(reply));
     }
 
-    /// Blocking poll with a deadline: waits up to `timeout` for the reply.
-    pub fn take_timeout(&mut self, timeout: std::time::Duration) -> Poll<T> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(v) => Poll::Ready(self.complete(v)),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Poll::NotYet,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Poll::Lost,
-        }
+    /// Drops the reply half without completing: for a request the front
+    /// refused, whose caller is told so synchronously instead.
+    pub(crate) fn disarm(mut self) {
+        self.queue = None;
     }
 }
 
-/// What a front did with a submitted (fire-now, collect-later) request.
-#[derive(Debug)]
-pub enum Submission<T> {
-    /// The front answered inline (single-process fronts have no queue to
-    /// park the request in, so the answer is already here).
-    Ready(T),
-    /// The request was accepted; the reply will arrive on the pending
-    /// channel — possibly out of order with other submissions.
-    Pending(PendingReply<T>),
-    /// The front refused the request without serving it (queue full →
-    /// [`crate::ShedReason::Overloaded`], worker gone →
-    /// [`crate::ShedReason::ShuttingDown`]).
-    Rejected(crate::ShedReason),
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        self.complete(None);
+    }
 }
 
 /// The request surface shared by every serving front — the single-process
@@ -165,21 +158,29 @@ pub trait TagService {
         self.handle_tag_click(tenant, clicks)
     }
 
-    /// Submits a question without waiting for the answer. The default
-    /// answers inline (synchronous fronts have nowhere to park a request);
-    /// concurrent fronts override this to enqueue and return
-    /// [`Submission::Pending`], so one caller thread can keep many requests
-    /// in flight and collect replies out of order.
+    /// Submits a question without waiting for the answer: exactly one
+    /// [`Completion`] carrying `token` lands on `queue` when it is served.
+    /// `Err` means the front refused the request (queue full →
+    /// [`ShedReason::Overloaded`], worker gone → [`ShedReason::ShuttingDown`])
+    /// and nothing will arrive. The default answers inline (synchronous
+    /// fronts have nowhere to park a request) and the reply is already on
+    /// the queue on return; concurrent fronts enqueue instead, so one caller
+    /// can keep many requests in flight and block on its queue for
+    /// whichever completes first.
     fn submit_question(
         &self,
         tenant: usize,
         question: &str,
         trace: Option<&TraceHandle>,
-    ) -> Submission<QuestionResponse> {
-        Submission::Ready(match trace {
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let resp = match trace {
             Some(t) => self.handle_question_traced(tenant, question, t),
             None => self.handle_question(tenant, question),
-        })
+        };
+        let _ = queue.send(Completion { token, reply: Some(Reply::Question(resp)) });
+        Ok(())
     }
 
     /// Submits a tag click without waiting (see
@@ -189,17 +190,28 @@ pub trait TagService {
         tenant: usize,
         clicks: &[usize],
         trace: Option<&TraceHandle>,
-    ) -> Submission<TagClickResponse> {
-        Submission::Ready(match trace {
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let resp = match trace {
             Some(t) => self.handle_tag_click_traced(tenant, clicks, t),
             None => self.handle_tag_click(tenant, clicks),
-        })
+        };
+        let _ = queue.send(Completion { token, reply: Some(Reply::TagClick(resp)) });
+        Ok(())
     }
 
     /// Submits a cold-start lookup without waiting (see
     /// [`TagService::submit_question`]).
-    fn submit_cold_start(&self, tenant: usize) -> Submission<Vec<usize>> {
-        Submission::Ready(self.cold_start_tags(tenant))
+    fn submit_cold_start(
+        &self,
+        tenant: usize,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let tags = self.cold_start_tags(tenant);
+        let _ = queue.send(Completion { token, reply: Some(Reply::ColdStart(tags)) });
+        Ok(())
     }
 }
 
@@ -251,8 +263,10 @@ impl<S: TagService> TagService for Arc<S> {
         tenant: usize,
         question: &str,
         trace: Option<&TraceHandle>,
-    ) -> Submission<QuestionResponse> {
-        (**self).submit_question(tenant, question, trace)
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        (**self).submit_question(tenant, question, trace, queue, token)
     }
 
     fn submit_tag_click(
@@ -260,12 +274,19 @@ impl<S: TagService> TagService for Arc<S> {
         tenant: usize,
         clicks: &[usize],
         trace: Option<&TraceHandle>,
-    ) -> Submission<TagClickResponse> {
-        (**self).submit_tag_click(tenant, clicks, trace)
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        (**self).submit_tag_click(tenant, clicks, trace, queue, token)
     }
 
-    fn submit_cold_start(&self, tenant: usize) -> Submission<Vec<usize>> {
-        (**self).submit_cold_start(tenant)
+    fn submit_cold_start(
+        &self,
+        tenant: usize,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        (**self).submit_cold_start(tenant, queue, token)
     }
 
     fn handle_tag_click_traced(

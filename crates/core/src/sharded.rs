@@ -22,8 +22,9 @@
 //! so no request's answer depends on scheduling.
 //!
 //! Every shard publishes labeled series into the shared
-//! [`MetricsRegistry`]: `sharded.request_us{shard="i"}` (client-observed
-//! queue + processing latency), `sharded.batch{shard="i"}` (drain sizes),
+//! [`MetricsRegistry`]: `sharded.request_us{shard="i"}` (front entry to
+//! reply release: queue wait + batching delay + processing, recorded by the
+//! worker as it releases each reply), `sharded.batch{shard="i"}` (drain sizes),
 //! `sharded.queue_depth{shard="i"}` gauges, and `sharded.processed` /
 //! `sharded.shed` counters, while the inner servers' `serving.*` metrics
 //! aggregate across shards in the same registry.
@@ -40,7 +41,7 @@ use intellitag_obs::{
 };
 
 use crate::serving::{
-    ModelServer, PendingReply, QuestionResponse, Submission, TagClickResponse, TagService,
+    CompletionQueue, ModelServer, QuestionResponse, Reply, ReplyTo, TagClickResponse, TagService,
 };
 
 /// How the front picks a shard for each request. Every shard owns a full
@@ -100,7 +101,7 @@ impl Default for ShardConfig {
 }
 
 /// The front's *runtime-adjustable* throughput knobs, shared between the
-/// client side (`try_send` admission), every shard worker (per-drain
+/// client side (shedding admission), every shard worker (per-drain
 /// `batch_max` load), and the governor that steps them. Construction-time
 /// [`ShardConfig`] values seed these; everything after that is atomic, so
 /// the governor can retune a live front without pausing a single drain.
@@ -289,24 +290,41 @@ pub enum ShedReason {
 /// relative enqueue stamp, so the worker can close the `shard.queue` span.
 type JobTrace = Option<(TraceHandle, u64)>;
 
-/// One request in flight to a shard worker.
-enum Job {
-    Question {
-        tenant: usize,
-        text: String,
-        reply: mpsc::Sender<QuestionResponse>,
-        trace: JobTrace,
-    },
-    TagClick {
-        tenant: usize,
-        clicks: Vec<usize>,
-        reply: mpsc::Sender<TagClickResponse>,
-        trace: JobTrace,
-    },
-    ColdStart {
-        tenant: usize,
-        reply: mpsc::Sender<Vec<usize>>,
-    },
+/// One request in flight to a shard worker: what to serve, where its reply
+/// goes, and the clock its client-observed latency is read from.
+struct Job {
+    request: Request,
+    reply: ReplyTo,
+    trace: JobTrace,
+    /// Started when the caller entered the front.
+    timer: SpanTimer,
+}
+
+/// The three request kinds, owning their payload for the ride through the
+/// queue.
+enum Request {
+    Question { tenant: usize, text: String },
+    TagClick { tenant: usize, clicks: Vec<usize> },
+    ColdStart { tenant: usize },
+}
+
+impl Request {
+    fn tenant(&self) -> usize {
+        match *self {
+            Request::Question { tenant, .. }
+            | Request::TagClick { tenant, .. }
+            | Request::ColdStart { tenant } => tenant,
+        }
+    }
+}
+
+/// Whether a full shard queue makes the caller wait or turns it away.
+#[derive(Clone, Copy)]
+enum Admission {
+    /// Backpressure: block until the queue has room.
+    Block,
+    /// Shed past the governed soft limit or a full queue.
+    Shed,
 }
 
 /// Stamps a job trace at enqueue time.
@@ -322,8 +340,6 @@ struct Shard {
     /// `sharded.queue_depth{shard=..}` gauge by whichever side moved last).
     depth: Arc<AtomicI64>,
     depth_gauge: Arc<Gauge>,
-    /// Client-observed latency (queue wait + batching delay + processing).
-    front_latency: Arc<Histogram>,
     shed: Arc<Counter>,
 }
 
@@ -340,6 +356,19 @@ struct WorkerMetrics {
     /// the one-forward-per-drain path is actually amortizing forwards.
     batch_rows: Arc<Histogram>,
     processed: Arc<Counter>,
+    /// Client-observed latency (queue wait + batching delay + processing),
+    /// recorded as each reply is released.
+    front_latency: Arc<Histogram>,
+}
+
+impl WorkerMetrics {
+    /// Accounts for one served reply about to be released. `processed` and
+    /// the front latency are recorded first, so once a caller holds a reply
+    /// the registry already reflects it.
+    fn served(&self, timer: SpanTimer) {
+        self.processed.inc();
+        self.front_latency.record(timer.elapsed_us());
+    }
 }
 
 /// The sharded, batched front over per-shard [`ModelServer`] replicas.
@@ -450,7 +479,6 @@ impl ShardedServer {
                 tx,
                 depth: Arc::clone(&depth),
                 depth_gauge: registry.gauge_labeled("sharded.queue_depth", &labels),
-                front_latency: registry.histogram_labeled("sharded.request_us", &labels),
                 shed: registry.counter_labeled("sharded.shed", &labels),
             };
             let worker_metrics = WorkerMetrics {
@@ -460,6 +488,7 @@ impl ShardedServer {
                 batch_sizes: registry.histogram_labeled("sharded.batch", &labels),
                 batch_rows: registry.histogram_labeled("sharded.batch_rows", &labels),
                 processed: registry.counter_labeled("sharded.processed", &labels),
+                front_latency: registry.histogram_labeled("sharded.request_us", &labels),
             };
             let (factory, registry, ready_tx) =
                 (Arc::clone(&factory), registry.clone(), ready_tx.clone());
@@ -599,74 +628,108 @@ impl ShardedServer {
         }
     }
 
-    /// Sends a job to the routed shard, blocking when the queue is full
-    /// (backpressure). Returns `false` when the worker is gone.
-    fn send(&self, shard: usize, job: Job) -> bool {
+    /// Hands a job to a shard's queue. [`Admission::Block`] waits for room
+    /// (backpressure) and fails only when the worker is gone;
+    /// [`Admission::Shed`] never waits — it sheds when the shard's live
+    /// depth exceeds the governed soft limit ([`RuntimeKnobs::shed_depth`])
+    /// or the physical queue is full. A refused job's reply half is
+    /// disarmed: the caller learns the outcome from the `Err` alone.
+    fn admit(&self, admission: Admission, shard: usize, job: Job) -> Result<(), ShedReason> {
         let shard = &self.shards[shard];
         let depth = shard.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.depth_gauge.set(depth as f64);
-        if shard.tx.send(job).is_err() {
-            shard.depth.fetch_sub(1, Ordering::Relaxed);
-            self.worker_lost.inc();
-            return false;
-        }
-        true
-    }
-
-    /// Sends a job without blocking; sheds when the shard's live depth
-    /// exceeds the governed soft limit ([`RuntimeKnobs::shed_depth`]) or
-    /// the physical queue is full. Blocking sends ignore the soft limit —
-    /// they apply backpressure instead of shedding, by contract.
-    fn try_send(&self, shard: usize, job: Job) -> Result<(), ShedReason> {
-        let shard = &self.shards[shard];
-        let depth = shard.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if depth > self.knobs.shed_depth() as i64 {
-            shard.depth.fetch_sub(1, Ordering::Relaxed);
-            shard.shed.inc();
-            self.shed_total.inc();
-            return Err(ShedReason::Overloaded);
-        }
-        match shard.tx.try_send(job) {
+        let sent = match admission {
+            Admission::Shed if depth > self.knobs.shed_depth() as i64 => {
+                Err(TrySendError::Full(job))
+            }
+            Admission::Shed => shard.tx.try_send(job),
+            Admission::Block => shard.tx.send(job).map_err(|e| TrySendError::Disconnected(e.0)),
+        };
+        let (job, reason) = match sent {
             Ok(()) => {
                 shard.depth_gauge.set(depth as f64);
-                Ok(())
+                return Ok(());
             }
-            Err(e) => {
-                shard.depth.fetch_sub(1, Ordering::Relaxed);
-                match e {
-                    TrySendError::Full(_) => {
-                        shard.shed.inc();
-                        self.shed_total.inc();
-                        Err(ShedReason::Overloaded)
-                    }
-                    TrySendError::Disconnected(_) => {
-                        self.worker_lost.inc();
-                        Err(ShedReason::ShuttingDown)
-                    }
-                }
+            Err(TrySendError::Full(job)) => {
+                shard.shed.inc();
+                self.shed_total.inc();
+                (job, ShedReason::Overloaded)
             }
-        }
-    }
-
-    /// Completes a round trip: waits for the reply and records the
-    /// client-observed latency on the shard that served it.
-    fn finish<T>(&self, shard: usize, timer: SpanTimer, reply: Receiver<T>) -> Option<T> {
-        match reply.recv() {
-            Ok(resp) => {
-                self.shards[shard].front_latency.record(timer.elapsed_us());
-                Some(resp)
-            }
-            Err(_) => {
+            Err(TrySendError::Disconnected(job)) => {
                 self.worker_lost.inc();
-                None
+                (job, ShedReason::ShuttingDown)
             }
+        };
+        shard.depth.fetch_sub(1, Ordering::Relaxed);
+        job.reply.disarm();
+        Err(reason)
+    }
+
+    /// Routes and enqueues one request whose reply goes to `queue` under
+    /// `token`. `Err` means the request never reached a worker (shed, or
+    /// the worker is gone) and nothing will arrive on the queue; sheds tick
+    /// the tenant tier's `slo.shed{tenant_tier=..}` counter.
+    fn enqueue(
+        &self,
+        admission: Admission,
+        request: Request,
+        trace: Option<&TraceHandle>,
+        queue: CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let timer = SpanTimer::start();
+        let tenant = request.tenant();
+        let shard = self.route(tenant);
+        let job =
+            Job { request, reply: ReplyTo::new(queue, token), trace: job_trace(trace), timer };
+        self.admit(admission, shard, job).inspect_err(|&reason| {
+            if reason == ShedReason::Overloaded {
+                self.slo_shed[tenant % 3].inc();
+            }
+        })
+    }
+
+    /// The blocking calls: submit to a queue of one, then wait on it — the
+    /// same reply path the `submit_*` family exposes to callers that keep
+    /// many requests in flight. `Err(ShuttingDown)` when the worker is lost.
+    fn round_trip(
+        &self,
+        admission: Admission,
+        request: Request,
+        trace: Option<&TraceHandle>,
+    ) -> Result<Reply, ShedReason> {
+        let (queue, completions) = mpsc::channel();
+        self.enqueue(admission, request, trace, queue, 0)?;
+        completions.recv().ok().and_then(|done| done.reply).ok_or_else(|| {
+            self.worker_lost.inc();
+            ShedReason::ShuttingDown
+        })
+    }
+
+    fn question(
+        &self,
+        admission: Admission,
+        tenant: usize,
+        question: &str,
+        trace: Option<&TraceHandle>,
+    ) -> Result<QuestionResponse, ShedReason> {
+        let request = Request::Question { tenant, text: question.to_string() };
+        match self.round_trip(admission, request, trace)? {
+            Reply::Question(resp) => Ok(resp),
+            other => unreachable!("question answered with {other:?}"),
         }
     }
 
-    /// Records a shed request against the tenant's tier SLO series.
-    fn record_shed(&self, tenant: usize, reason: ShedReason) {
-        if reason == ShedReason::Overloaded {
-            self.slo_shed[tenant % 3].inc();
+    fn tag_click(
+        &self,
+        admission: Admission,
+        tenant: usize,
+        clicks: &[usize],
+        trace: Option<&TraceHandle>,
+    ) -> Result<TagClickResponse, ShedReason> {
+        let request = Request::TagClick { tenant, clicks: clicks.to_vec() };
+        match self.round_trip(admission, request, trace)? {
+            Reply::TagClick(resp) => Ok(resp),
+            other => unreachable!("tag click answered with {other:?}"),
         }
     }
 
@@ -696,27 +759,14 @@ impl ShardedServer {
         trace: Option<&TraceHandle>,
     ) -> QuestionResponse {
         let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let sent = self.send(
-            shard,
-            Job::Question {
-                tenant,
-                text: question.to_string(),
-                reply: reply_tx,
-                trace: job_trace(trace),
-            },
-        );
-        let degraded = |timer: SpanTimer| QuestionResponse {
-            rq: None,
-            answer: None,
-            recommended_tags: Vec::new(),
-            latency_us: timer.elapsed_us(),
-        };
-        if !sent {
-            return degraded(timer);
-        }
-        self.finish(shard, timer, reply_rx).unwrap_or_else(|| degraded(timer))
+        self.question(Admission::Block, tenant, question, trace).unwrap_or_else(|_| {
+            QuestionResponse {
+                rq: None,
+                answer: None,
+                recommended_tags: Vec::new(),
+                latency_us: timer.elapsed_us(),
+            }
+        })
     }
 
     /// Handles a tag click through the front, blocking under backpressure.
@@ -742,37 +792,22 @@ impl ShardedServer {
         trace: Option<&TraceHandle>,
     ) -> TagClickResponse {
         let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let sent = self.send(
-            shard,
-            Job::TagClick {
-                tenant,
-                clicks: clicks.to_vec(),
-                reply: reply_tx,
-                trace: job_trace(trace),
-            },
-        );
-        let degraded = |timer: SpanTimer| TagClickResponse {
-            recommended_tags: Vec::new(),
-            predicted_questions: Vec::new(),
-            latency_us: timer.elapsed_us(),
-        };
-        if !sent {
-            return degraded(timer);
-        }
-        self.finish(shard, timer, reply_rx).unwrap_or_else(|| degraded(timer))
+        self.tag_click(Admission::Block, tenant, clicks, trace).unwrap_or_else(|_| {
+            TagClickResponse {
+                recommended_tags: Vec::new(),
+                predicted_questions: Vec::new(),
+                latency_us: timer.elapsed_us(),
+            }
+        })
     }
 
     /// Cold-start tags for a tenant, served by the routed shard.
     pub fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
-        let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if !self.send(shard, Job::ColdStart { tenant, reply: reply_tx }) {
-            return Vec::new();
+        match self.round_trip(Admission::Block, Request::ColdStart { tenant }, None) {
+            Ok(Reply::ColdStart(tags)) => tags,
+            Ok(other) => unreachable!("cold start answered with {other:?}"),
+            Err(_) => Vec::new(),
         }
-        self.finish(shard, timer, reply_rx).unwrap_or_default()
     }
 
     /// Non-blocking question: sheds with [`ShedReason::Overloaded`] instead
@@ -783,7 +818,7 @@ impl ShardedServer {
         tenant: usize,
         question: &str,
     ) -> Result<QuestionResponse, ShedReason> {
-        self.try_handle_question_inner(tenant, question, None)
+        self.question(Admission::Shed, tenant, question, None)
     }
 
     /// [`Self::try_handle_question`] with the request's trace riding the
@@ -794,29 +829,7 @@ impl ShardedServer {
         question: &str,
         trace: &TraceHandle,
     ) -> Result<QuestionResponse, ShedReason> {
-        self.try_handle_question_inner(tenant, question, Some(trace))
-    }
-
-    fn try_handle_question_inner(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: Option<&TraceHandle>,
-    ) -> Result<QuestionResponse, ShedReason> {
-        let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.try_send(
-            shard,
-            Job::Question {
-                tenant,
-                text: question.to_string(),
-                reply: reply_tx,
-                trace: job_trace(trace),
-            },
-        )
-        .inspect_err(|&reason| self.record_shed(tenant, reason))?;
-        self.finish(shard, timer, reply_rx).ok_or(ShedReason::ShuttingDown)
+        self.question(Admission::Shed, tenant, question, Some(trace))
     }
 
     /// Non-blocking tag click: sheds instead of waiting on a full queue.
@@ -826,7 +839,7 @@ impl ShardedServer {
         tenant: usize,
         clicks: &[usize],
     ) -> Result<TagClickResponse, ShedReason> {
-        self.try_handle_tag_click_inner(tenant, clicks, None)
+        self.tag_click(Admission::Shed, tenant, clicks, None)
     }
 
     /// [`Self::try_handle_tag_click`] with the request's trace riding the
@@ -837,106 +850,7 @@ impl ShardedServer {
         clicks: &[usize],
         trace: &TraceHandle,
     ) -> Result<TagClickResponse, ShedReason> {
-        self.try_handle_tag_click_inner(tenant, clicks, Some(trace))
-    }
-
-    /// Submits a question without waiting for the reply: the job rides the
-    /// routed shard's queue exactly like [`Self::handle_question`], but the
-    /// caller gets the reply channel back as a [`PendingReply`] instead of
-    /// blocking on it. A full queue sheds ([`Submission::Rejected`]) rather
-    /// than stalling the submitter — the contract the gateway's pipelined
-    /// binary connections need to keep many correlated requests in flight.
-    /// Each job carries its own reply channel, so replies stay correlated
-    /// with their requests no matter how drains batch or reorder work.
-    pub fn submit_question(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: Option<&TraceHandle>,
-    ) -> Submission<QuestionResponse> {
-        let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let job = Job::Question {
-            tenant,
-            text: question.to_string(),
-            reply: reply_tx,
-            trace: job_trace(trace),
-        };
-        self.submission(shard, tenant, job, reply_rx, timer)
-    }
-
-    /// Submits a tag click without waiting (see [`Self::submit_question`]).
-    pub fn submit_tag_click(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-    ) -> Submission<TagClickResponse> {
-        let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let job = Job::TagClick {
-            tenant,
-            clicks: clicks.to_vec(),
-            reply: reply_tx,
-            trace: job_trace(trace),
-        };
-        self.submission(shard, tenant, job, reply_rx, timer)
-    }
-
-    /// Submits a cold-start lookup without waiting (see
-    /// [`Self::submit_question`]).
-    pub fn submit_cold_start(&self, tenant: usize) -> Submission<Vec<usize>> {
-        let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.submission(shard, tenant, Job::ColdStart { tenant, reply: reply_tx }, reply_rx, timer)
-    }
-
-    /// Shared tail of the `submit_*` family: non-blocking enqueue, shed
-    /// accounting on rejection, and a [`PendingReply`] that records the
-    /// shard's client-observed latency when the reply finally lands.
-    fn submission<T>(
-        &self,
-        shard: usize,
-        tenant: usize,
-        job: Job,
-        reply_rx: Receiver<T>,
-        timer: SpanTimer,
-    ) -> Submission<T> {
-        match self.try_send(shard, job) {
-            Ok(()) => Submission::Pending(
-                PendingReply::new(reply_rx)
-                    .with_latency(Arc::clone(&self.shards[shard].front_latency), timer),
-            ),
-            Err(reason) => {
-                self.record_shed(tenant, reason);
-                Submission::Rejected(reason)
-            }
-        }
-    }
-
-    fn try_handle_tag_click_inner(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-    ) -> Result<TagClickResponse, ShedReason> {
-        let timer = SpanTimer::start();
-        let shard = self.route(tenant);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.try_send(
-            shard,
-            Job::TagClick {
-                tenant,
-                clicks: clicks.to_vec(),
-                reply: reply_tx,
-                trace: job_trace(trace),
-            },
-        )
-        .inspect_err(|&reason| self.record_shed(tenant, reason))?;
-        self.finish(shard, timer, reply_rx).ok_or(ShedReason::ShuttingDown)
+        self.tag_click(Admission::Shed, tenant, clicks, Some(trace))
     }
 }
 
@@ -971,13 +885,22 @@ impl TagService for ShardedServer {
         ShardedServer::cold_start_tags(self, tenant)
     }
 
+    /// The job rides the routed shard's queue exactly like
+    /// [`Self::handle_question`], and its reply lands on the caller's
+    /// `queue` tagged `token` when the shard finishes it — however drains
+    /// batch or reorder work. A full queue sheds (`Err`) rather than
+    /// stalling the submitter: the contract the gateway's pipelined binary
+    /// connections need to keep many correlated requests in flight.
     fn submit_question(
         &self,
         tenant: usize,
         question: &str,
         trace: Option<&TraceHandle>,
-    ) -> Submission<QuestionResponse> {
-        ShardedServer::submit_question(self, tenant, question, trace)
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let request = Request::Question { tenant, text: question.to_string() };
+        self.enqueue(Admission::Shed, request, trace, queue.clone(), token)
     }
 
     fn submit_tag_click(
@@ -985,12 +908,20 @@ impl TagService for ShardedServer {
         tenant: usize,
         clicks: &[usize],
         trace: Option<&TraceHandle>,
-    ) -> Submission<TagClickResponse> {
-        ShardedServer::submit_tag_click(self, tenant, clicks, trace)
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let request = Request::TagClick { tenant, clicks: clicks.to_vec() };
+        self.enqueue(Admission::Shed, request, trace, queue.clone(), token)
     }
 
-    fn submit_cold_start(&self, tenant: usize) -> Submission<Vec<usize>> {
-        ShardedServer::submit_cold_start(self, tenant)
+    fn submit_cold_start(
+        &self,
+        tenant: usize,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        self.enqueue(Admission::Shed, Request::ColdStart { tenant }, None, queue.clone(), token)
     }
 
     fn metrics(&self) -> &MetricsRegistry {
@@ -1086,80 +1017,74 @@ fn worker_loop<M: SequenceRecommender>(
         metrics.depth_gauge.set(remaining.max(0) as f64);
         metrics.batch_sizes.record(batch.len() as u64);
         let drain_size = batch.len() as u32;
-        // `processed` is incremented before each reply is released so that
-        // once a client holds a response, the counter already reflects it —
-        // registry reconciliation never lags behind the clients' own
-        // accounting. A send error means the client gave up on the reply
-        // (e.g. a shed-and-retry harness); the request was still served.
+        // A drain's click replies leave together, back to back after the one
+        // batched forward that produced them, so a caller with several
+        // requests in the drain wakes for the first and finds the rest
+        // queued.
         let mut click_reqs: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut click_replies: Vec<mpsc::Sender<TagClickResponse>> = Vec::new();
+        let mut click_replies: Vec<(ReplyTo, SpanTimer)> = Vec::new();
         let mut click_traces: Vec<Option<(TraceHandle, u64)>> = Vec::new();
-        for job in batch.drain(..) {
-            match job {
-                Job::Question { tenant, text, reply, trace } => {
+        for Job { request, reply, trace, timer } in batch.drain(..) {
+            match request {
+                Request::Question { tenant, text } => {
                     let trace = close_queue_span(trace, metrics.shard);
                     let resp = match &trace {
                         Some((t, _)) => server.handle_question_traced(tenant, &text, t),
                         None => server.handle_question(tenant, &text),
                     };
                     close_drain_span(&trace, metrics.shard, drain_size);
-                    metrics.processed.inc();
-                    let _ = reply.send(resp);
+                    metrics.served(timer);
+                    reply.send(Reply::Question(resp));
                 }
-                Job::TagClick { tenant, clicks, reply, trace } => {
+                Request::TagClick { tenant, clicks } => {
                     click_reqs.push((tenant, clicks));
-                    click_replies.push(reply);
+                    click_replies.push((reply, timer));
                     click_traces.push(close_queue_span(trace, metrics.shard));
                 }
-                Job::ColdStart { tenant, reply } => {
+                Request::ColdStart { tenant } => {
                     let resp = server.cold_start_tags(tenant);
-                    metrics.processed.inc();
-                    let _ = reply.send(resp);
+                    metrics.served(timer);
+                    reply.send(Reply::ColdStart(resp));
                 }
             }
         }
-        match click_reqs.len() {
-            0 => {}
+        let responses = match click_reqs.len() {
+            0 => Vec::new(),
             1 => {
                 // A lone click skips the batch plumbing — with `batch_max`
                 // of 1 this is exactly the pre-batching worker.
                 metrics.batch_rows.record(1);
-                let (tenant, clicks) = click_reqs.pop().expect("one click request");
-                let resp = match &click_traces[0] {
-                    Some((t, _)) => server.handle_tag_click_traced(tenant, &clicks, t),
-                    None => server.handle_tag_click(tenant, &clicks),
-                };
-                close_drain_span(&click_traces[0], metrics.shard, drain_size);
-                metrics.processed.inc();
-                let _ = click_replies[0].send(resp);
+                let (tenant, clicks) = &click_reqs[0];
+                vec![match &click_traces[0] {
+                    Some((t, _)) => server.handle_tag_click_traced(*tenant, clicks, t),
+                    None => server.handle_tag_click(*tenant, clicks),
+                }]
             }
             rows => {
                 metrics.batch_rows.record(rows as u64);
-                let responses = if click_traces.iter().any(Option::is_some) {
+                if click_traces.iter().any(Option::is_some) {
                     let handles: Vec<Option<TraceHandle>> =
                         click_traces.iter().map(|t| t.as_ref().map(|(h, _)| h.clone())).collect();
                     server.handle_tag_click_batch_traced(&click_reqs, &handles)
                 } else {
                     server.handle_tag_click_batch(&click_reqs)
-                };
-                click_reqs.clear();
-                for ((resp, reply), trace) in
-                    responses.into_iter().zip(&click_replies).zip(&click_traces)
-                {
-                    close_drain_span(trace, metrics.shard, drain_size);
-                    metrics.processed.inc();
-                    let _ = reply.send(resp);
                 }
             }
+        };
+        for ((resp, (reply, timer)), trace) in
+            responses.into_iter().zip(click_replies).zip(&click_traces)
+        {
+            close_drain_span(trace, metrics.shard, drain_size);
+            metrics.served(timer);
+            reply.send(Reply::TagClick(resp));
         }
-        click_replies.clear();
-        click_traces.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::Completion;
     use intellitag_baselines::Popularity;
     use intellitag_search::KbWarehouse;
 
@@ -1184,6 +1109,25 @@ mod tests {
 
     fn replica() -> ModelServer<Popularity> {
         server_with(Popularity::from_counts(&[5, 9, 3, 7, 2, 4]))
+    }
+
+    /// A job whose reply lands on a queue of its own (token 0), the way the
+    /// blocking calls build one.
+    fn job(request: Request, trace: Option<&TraceHandle>) -> (Job, Receiver<Completion>) {
+        let (queue, completions) = mpsc::channel();
+        let reply = ReplyTo::new(queue, 0);
+        (Job { request, reply, trace: job_trace(trace), timer: SpanTimer::start() }, completions)
+    }
+
+    fn click_job(tenant: usize, clicks: &[usize]) -> (Job, Receiver<Completion>) {
+        job(Request::TagClick { tenant, clicks: clicks.to_vec() }, None)
+    }
+
+    fn click_reply(completions: &Receiver<Completion>) -> TagClickResponse {
+        match completions.recv().expect("request drained, not dropped").reply {
+            Some(Reply::TagClick(resp)) => resp,
+            other => panic!("expected a tag-click reply, got {other:?}"),
+        }
     }
 
     fn front(cfg: ShardConfig) -> (ShardedServer, MetricsRegistry) {
@@ -1236,19 +1180,14 @@ mod tests {
         let n = 32;
         let replies: Vec<_> = (0..n)
             .map(|i| {
-                let (tx, rx) = mpsc::channel();
-                front
-                    .try_send(
-                        0,
-                        Job::TagClick { tenant: 0, clicks: vec![i % 4], reply: tx, trace: None },
-                    )
-                    .expect("queue has room");
+                let (job, rx) = click_job(0, &[i % 4]);
+                front.admit(Admission::Shed, 0, job).expect("queue has room");
                 rx
             })
             .collect();
         front.shutdown();
         for rx in replies {
-            let resp = rx.recv().expect("request drained, not dropped");
+            let resp = click_reply(&rx);
             assert!(!resp.recommended_tags.is_empty() || !resp.predicted_questions.is_empty());
         }
         assert_eq!(
@@ -1292,6 +1231,7 @@ mod tests {
             batch_sizes: registry.histogram_labeled("sharded.batch", &labels),
             batch_rows: registry.histogram_labeled("sharded.batch_rows", &labels),
             processed: registry.counter_labeled("sharded.processed", &labels),
+            front_latency: registry.histogram_labeled("sharded.request_us", &labels),
         };
         worker_loop(server, rx, metrics, Arc::new(RuntimeKnobs::new(batch_max, 64)), None);
         registry
@@ -1303,16 +1243,10 @@ mod tests {
         // batch_rows record, answers identical to a single-process server.
         let single = replica();
         let clicks: Vec<Vec<usize>> = vec![vec![0], vec![1, 0], vec![2], vec![0], vec![3, 2]];
-        let (jobs, replies): (Vec<Job>, Vec<_>) = clicks
-            .iter()
-            .map(|c| {
-                let (tx, rx) = mpsc::channel();
-                (Job::TagClick { tenant: 0, clicks: c.clone(), reply: tx, trace: None }, rx)
-            })
-            .unzip();
+        let (jobs, replies): (Vec<Job>, Vec<_>) = clicks.iter().map(|c| click_job(0, c)).unzip();
         let registry = run_worker(jobs, 8);
         for (c, rx) in clicks.iter().zip(replies) {
-            let resp = rx.recv().expect("drained");
+            let resp = click_reply(&rx);
             assert!(resp.same_content(&single.handle_tag_click(0, c)), "clicks {c:?} diverged");
         }
         let rows = registry.histogram_labeled("sharded.batch_rows", &[("shard", "0")]).snapshot();
@@ -1333,14 +1267,16 @@ mod tests {
         let questions = ["how to change password", "how to apply for etc card"];
         let (jobs, replies): (Vec<Job>, Vec<_>) = questions
             .iter()
-            .map(|q| {
-                let (tx, rx) = mpsc::channel();
-                (Job::Question { tenant: 0, text: q.to_string(), reply: tx, trace: None }, rx)
-            })
+            .map(|q| job(Request::Question { tenant: 0, text: q.to_string() }, None))
             .unzip();
         let registry = run_worker(jobs, 8);
         for (q, rx) in questions.iter().zip(replies) {
-            assert!(rx.recv().expect("drained").same_content(&single.handle_question(0, q)));
+            match rx.recv().expect("drained").reply {
+                Some(Reply::Question(resp)) => {
+                    assert!(resp.same_content(&single.handle_question(0, q)))
+                }
+                other => panic!("expected a question reply, got {other:?}"),
+            }
         }
         let rows = registry.histogram_labeled("sharded.batch_rows", &[("shard", "0")]).snapshot();
         assert_eq!(rows.count, 0, "question-only drains must not tick batch_rows");
@@ -1381,20 +1317,11 @@ mod tests {
             ..Default::default()
         });
         let oversized: Vec<usize> = (0..40).map(|i| i % 4).collect();
-        let (q_tx, q_rx) = mpsc::channel();
-        front
-            .try_send(
-                0,
-                Job::Question {
-                    tenant: 0,
-                    text: "cancel the order".into(),
-                    reply: q_tx,
-                    trace: None,
-                },
-            )
-            .unwrap();
-        let (cs_tx, cs_rx) = mpsc::channel();
-        front.try_send(0, Job::ColdStart { tenant: 1, reply: cs_tx }).unwrap();
+        let (q_job, q_rx) =
+            job(Request::Question { tenant: 0, text: "cancel the order".into() }, None);
+        front.admit(Admission::Shed, 0, q_job).unwrap();
+        let (cs_job, cs_rx) = job(Request::ColdStart { tenant: 1 }, None);
+        front.admit(Admission::Shed, 0, cs_job).unwrap();
         let click_cases: Vec<(usize, Vec<usize>)> = vec![
             (0, vec![0, 1]),
             (0, vec![]),    // degraded: empty
@@ -1406,25 +1333,23 @@ mod tests {
         let click_replies: Vec<_> = click_cases
             .iter()
             .map(|(tenant, clicks)| {
-                let (tx, rx) = mpsc::channel();
-                front
-                    .try_send(
-                        0,
-                        Job::TagClick {
-                            tenant: *tenant,
-                            clicks: clicks.clone(),
-                            reply: tx,
-                            trace: None,
-                        },
-                    )
-                    .unwrap();
+                let (job, rx) = click_job(*tenant, clicks);
+                front.admit(Admission::Shed, 0, job).unwrap();
                 rx
             })
             .collect();
-        assert!(q_rx.recv().unwrap().same_content(&single.handle_question(0, "cancel the order")));
-        assert_eq!(cs_rx.recv().unwrap(), single.cold_start_tags(1));
+        match q_rx.recv().unwrap().reply {
+            Some(Reply::Question(resp)) => {
+                assert!(resp.same_content(&single.handle_question(0, "cancel the order")))
+            }
+            other => panic!("expected a question reply, got {other:?}"),
+        }
+        match cs_rx.recv().unwrap().reply {
+            Some(Reply::ColdStart(tags)) => assert_eq!(tags, single.cold_start_tags(1)),
+            other => panic!("expected a cold-start reply, got {other:?}"),
+        }
         for ((tenant, clicks), rx) in click_cases.iter().zip(click_replies) {
-            let resp = rx.recv().expect("drained");
+            let resp = click_reply(&rx);
             assert!(
                 resp.same_content(&single.handle_tag_click(*tenant, clicks)),
                 "tenant {tenant} clicks {clicks:?} diverged"
@@ -1550,20 +1475,11 @@ mod tests {
         let (jobs, replies): (Vec<Job>, Vec<_>) = clicks
             .iter()
             .zip(&traces)
-            .map(|(c, t)| {
-                let (tx, rx) = mpsc::channel();
-                let job = Job::TagClick {
-                    tenant: 0,
-                    clicks: c.clone(),
-                    reply: tx,
-                    trace: job_trace(Some(t)),
-                };
-                (job, rx)
-            })
+            .map(|(c, t)| job(Request::TagClick { tenant: 0, clicks: c.clone() }, Some(t)))
             .unzip();
         let registry = run_worker(jobs, 8);
         for rx in replies {
-            rx.recv().expect("drained");
+            click_reply(&rx);
         }
         let rows = registry.histogram_labeled("sharded.batch_rows", &[("shard", "0")]).snapshot();
         assert_eq!((rows.count, rows.max), (1, 4), "must drain as one batch of 4");
@@ -1593,9 +1509,8 @@ mod tests {
         let mut shed = false;
         for _ in 0..10_000 {
             loop {
-                let (tx, rx) = mpsc::channel();
-                let job = Job::TagClick { tenant: 1, clicks: vec![0], reply: tx, trace: None };
-                match front.try_send(0, job) {
+                let (job, rx) = click_job(1, &[0]);
+                match front.admit(Admission::Shed, 0, job) {
                     Ok(()) => parked.push(rx),
                     Err(_) => break, // queue full
                 }
@@ -1607,7 +1522,7 @@ mod tests {
         }
         assert!(shed, "no shed observed after 10k full-queue attempts");
         // Tenant 1 is the silver tier; the shed must land on its counter
-        // (raw `try_send` sheds bypass the tier accounting by design).
+        // (raw `admit` sheds bypass the tier accounting by design).
         let silver = registry.counter_labeled(SLO_SHED_METRIC, &[(SLO_TIER_LABEL, "silver")]);
         assert!(silver.get() >= 1, "silver slo.shed not ticked");
         let gold = registry.counter_labeled(SLO_SHED_METRIC, &[(SLO_TIER_LABEL, "gold")]);
@@ -1618,84 +1533,104 @@ mod tests {
 
     #[test]
     fn submitted_requests_complete_with_correct_correlation_and_latency() {
-        use crate::serving::{Poll, Submission};
         let single = replica();
-        let (front, registry) = front(ShardConfig { shards: 2, ..Default::default() });
-        // Submit a burst without waiting, then collect out-of-band: each
-        // pending reply must resolve to the same answer the single-process
-        // server gives for *its own* request (correlation survives drains).
+        let (front, _registry) = front(ShardConfig { shards: 2, ..Default::default() });
+        // Submit a burst to one queue without waiting, then block on the
+        // queue: each completion's token must lead back to the answer the
+        // single-process server gives for *that* request, whatever order
+        // the two shards finish in.
         let cases: Vec<(usize, Vec<usize>)> =
             vec![(0, vec![0]), (1, vec![4, 5]), (0, vec![1, 0]), (1, vec![5]), (0, vec![2])];
-        let mut pending = Vec::new();
-        for (tenant, clicks) in &cases {
-            match front.submit_tag_click(*tenant, clicks, None) {
-                Submission::Pending(p) => pending.push(p),
-                other => panic!("submit with room in the queue must pend, got {other:?}"),
+        let (queue, completions) = mpsc::channel();
+        for (token, (tenant, clicks)) in cases.iter().enumerate() {
+            front
+                .submit_tag_click(*tenant, clicks, None, &queue, token as u64)
+                .expect("submit with room in the queue is accepted");
+        }
+        let mut seen = vec![false; cases.len()];
+        for _ in &cases {
+            let done = completions.recv().expect("every accepted submission completes");
+            let (tenant, clicks) = &cases[done.token as usize];
+            assert!(!std::mem::replace(&mut seen[done.token as usize], true), "token repeated");
+            match done.reply {
+                Some(Reply::TagClick(resp)) => assert!(
+                    resp.same_content(&single.handle_tag_click(*tenant, clicks)),
+                    "submitted reply diverged for tenant {tenant} clicks {clicks:?}"
+                ),
+                other => panic!("expected a tag-click reply, got {other:?}"),
             }
         }
-        for ((tenant, clicks), mut p) in cases.iter().zip(pending) {
-            let resp = loop {
-                match p.try_take() {
-                    Poll::Ready(r) => break r,
-                    Poll::NotYet => std::thread::yield_now(),
-                    Poll::Lost => panic!("reply lost for tenant {tenant}"),
-                }
-            };
-            assert!(
-                resp.same_content(&single.handle_tag_click(*tenant, clicks)),
-                "submitted reply diverged for tenant {tenant} clicks {clicks:?}"
-            );
-        }
-        // Completion recorded the client-observed front latency.
+        // Release recorded the client-observed front latency — before the
+        // caller could see the reply.
         assert_eq!(front.front_latency_snapshot().count, cases.len() as u64);
-        // Question and cold-start submissions resolve too.
-        let q = match front.submit_question(0, "how to change password", None) {
-            Submission::Pending(mut p) => loop {
-                match p.take_timeout(std::time::Duration::from_secs(5)) {
-                    Poll::Ready(r) => break r,
-                    Poll::NotYet => continue,
-                    Poll::Lost => panic!("question reply lost"),
+        // Question and cold-start submissions resolve on the same queue.
+        front.submit_question(0, "how to change password", None, &queue, 70).unwrap();
+        front.submit_cold_start(1, &queue, 71).unwrap();
+        for _ in 0..2 {
+            match completions.recv().expect("completes") {
+                Completion { token: 70, reply: Some(Reply::Question(q)) } => {
+                    assert!(q.same_content(&single.handle_question(0, "how to change password")))
                 }
-            },
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(q.same_content(&single.handle_question(0, "how to change password")));
-        let cs = match front.submit_cold_start(1) {
-            Submission::Pending(mut p) => loop {
-                match p.take_timeout(std::time::Duration::from_secs(5)) {
-                    Poll::Ready(r) => break r,
-                    Poll::NotYet => continue,
-                    Poll::Lost => panic!("cold-start reply lost"),
+                Completion { token: 71, reply: Some(Reply::ColdStart(tags)) } => {
+                    assert_eq!(tags, single.cold_start_tags(1))
                 }
-            },
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(cs, single.cold_start_tags(1));
+                other => panic!("unexpected completion {other:?}"),
+            }
+        }
         front.shutdown();
-        let _ = registry;
+        assert!(completions.try_recv().is_err(), "exactly one completion per submission");
+    }
+
+    #[test]
+    fn a_request_dropped_unserved_completes_with_no_reply() {
+        // The worker dies with a job still queued: the job's reply half must
+        // wake the caller with `reply: None` instead of leaving it blocked.
+        let (job, completions) = click_job(0, &[0]);
+        let (tx, rx) = mpsc::sync_channel::<Job>(1);
+        tx.try_send(job).expect("room for one");
+        drop(rx);
+        let done = completions.recv().expect("a dropped job still completes");
+        assert!(done.reply.is_none());
+        // A refused job, by contrast, stays silent: `Err` is the whole answer.
+        let (front, _) =
+            front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1, ..Default::default() });
+        front.knobs().set_shed_depth(1);
+        let (queue, completions) = mpsc::channel();
+        let mut refused = 0;
+        let mut accepted = 0;
+        for token in 0..64 {
+            match front.submit_tag_click(0, &[0], None, &queue, token) {
+                Ok(()) => accepted += 1,
+                Err(reason) => {
+                    assert_eq!(reason, ShedReason::Overloaded);
+                    refused += 1;
+                }
+            }
+        }
+        front.shutdown();
+        drop(queue);
+        assert!(refused > 0, "a one-deep queue must refuse part of a 64-burst");
+        assert_eq!(completions.iter().count(), accepted, "one completion per accepted submit");
     }
 
     #[test]
     fn submit_sheds_on_a_full_queue_instead_of_blocking() {
-        use crate::serving::Submission;
         let (front, registry) =
             front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1, ..Default::default() });
+        let (queue, _completions) = mpsc::channel();
         // Park raw sends until the queue is full, then a submit must shed
         // (never block) and tick the tenant tier's slo.shed counter.
         let mut parked = Vec::new();
         let mut shed = false;
         for _ in 0..10_000 {
             loop {
-                let (tx, rx) = mpsc::channel();
-                let job = Job::TagClick { tenant: 1, clicks: vec![0], reply: tx, trace: None };
-                match front.try_send(0, job) {
+                let (job, rx) = click_job(1, &[0]);
+                match front.admit(Admission::Shed, 0, job) {
                     Ok(()) => parked.push(rx),
                     Err(_) => break,
                 }
             }
-            if let Submission::Rejected(ShedReason::Overloaded) =
-                front.submit_tag_click(1, &[0], None)
-            {
+            if front.submit_tag_click(1, &[0], None, &queue, 0) == Err(ShedReason::Overloaded) {
                 shed = true;
                 break;
             }

@@ -101,6 +101,9 @@ struct Conn {
     out: Vec<u8>,
     /// `(corr_id, submit_seq)` of frames accepted but not yet answered.
     inflight: Vec<(u64, u64)>,
+    /// The socket read timeout last set, so the round-robin (which always
+    /// wants [`POLL_TIMEOUT`]) does not pay a `setsockopt` per visit.
+    read_timeout: Option<Duration>,
 }
 
 /// A connection-pooled binary client keeping `max_inflight` correlated
@@ -117,9 +120,11 @@ pub struct PipelinedClient {
     done: VecDeque<Completion>,
 }
 
-/// Reply-poll granularity: short enough that a read on a conn with
-/// nothing buffered does not stall the round-robin over conns that do
-/// have replies waiting, long enough not to spin.
+/// Reply-poll granularity while **several** connections owe replies: a
+/// read on one with nothing buffered must not sit on replies waiting on
+/// another. (The kernel rounds a socket timeout up to its timer tick, so
+/// each visit costs a tick, not 200 µs — which is why a lone connection is
+/// read with the whole remaining deadline instead.)
 const POLL_TIMEOUT: Duration = Duration::from_micros(200);
 
 /// Cork size: a burst of small request frames goes out in one write
@@ -262,13 +267,13 @@ impl PipelinedClient {
             if self.conns[slot].is_none() {
                 let stream = TcpStream::connect(self.addr).map_err(PipelineError::Io)?;
                 stream.set_nodelay(true).ok();
-                stream.set_read_timeout(Some(POLL_TIMEOUT)).map_err(PipelineError::Io)?;
                 stream.set_write_timeout(Some(self.timeout)).map_err(PipelineError::Io)?;
                 self.conns[slot] = Some(Conn {
                     stream,
                     buf: Vec::with_capacity(4 * 1024),
                     out: Vec::with_capacity(CORK_BYTES),
                     inflight: Vec::new(),
+                    read_timeout: None,
                 });
             }
             let conn = self.conns[slot].as_ref().expect("just ensured");
@@ -281,7 +286,9 @@ impl PipelinedClient {
     }
 
     /// Blocks until any connection yields a completion (or the timeout
-    /// expires). Round-robins short reads across the pool.
+    /// expires). With one connection owing replies it blocks in `read` on
+    /// that socket until the deadline; with several it round-robins short
+    /// reads across them.
     fn wait_any_completion(&mut self) -> Result<Completion, PipelineError> {
         if self.in_flight() == 0 {
             return Err(PipelineError::Protocol("nothing in flight to wait for".into()));
@@ -295,6 +302,7 @@ impl PipelinedClient {
         let deadline = Instant::now() + self.timeout;
         let mut chunk = [0u8; 16 * 1024];
         loop {
+            let owing = self.conns.iter().flatten().filter(|c| !c.inflight.is_empty()).count();
             for slot in 0..self.conns.len() {
                 // Parse anything already buffered before touching the socket.
                 if let Some(c) = self.parse_conn(slot)? {
@@ -303,6 +311,15 @@ impl PipelinedClient {
                 let Some(conn) = self.conns[slot].as_mut() else { continue };
                 if conn.inflight.is_empty() {
                     continue;
+                }
+                let wait = if owing == 1 {
+                    deadline.saturating_duration_since(Instant::now()).max(POLL_TIMEOUT)
+                } else {
+                    POLL_TIMEOUT
+                };
+                if conn.read_timeout != Some(wait) {
+                    conn.stream.set_read_timeout(Some(wait)).map_err(PipelineError::Io)?;
+                    conn.read_timeout = Some(wait);
                 }
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {

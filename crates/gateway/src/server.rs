@@ -13,10 +13,13 @@
 //! The same port also speaks the binary frame protocol of
 //! [`crate::codec`]: the worker sniffs the first byte of each accepted
 //! connection (the frame magic `0xB1` collides with no HTTP method), and
-//! binary connections get a pipelined serve loop that dispatches request
-//! frames through [`TagService::submit_question`]-family calls and
-//! completes replies **out of order** as the sharded front drains them,
-//! matched to their requests by the client-chosen correlation id.
+//! a binary connection is served by two halves that never poll: the worker
+//! blocks in `read`, dispatching request frames through
+//! [`TagService::submit_question`]-family calls with the connection's
+//! completion queue, and the writer half (a scoped thread once a request
+//! has had to wait for a shard) blocks on that queue, writing replies
+//! **out of order** the moment the sharded front finishes them, matched to
+//! their requests by the client-chosen correlation id.
 //!
 //! Everything the gateway observes lands in the shared
 //! [`MetricsRegistry`]: `gateway.requests{route=..,status=..}` counters,
@@ -27,16 +30,14 @@
 //! stages side by side.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use intellitag_core::{
-    PendingReply, Poll, QuestionResponse, ShedReason, Submission, TagClickResponse, TagService,
-};
+use intellitag_core::{Completion, CompletionQueue, Reply, ShedReason, TagService};
 use intellitag_obs::{
     parse_trace_id, MetricsRegistry, SpanTimer, TraceCollector, TraceConfig, TraceHandle,
     TraceIdGen,
@@ -89,12 +90,14 @@ impl Default for GatewayConfig {
 /// Observer of served model-route requests — the feed into the
 /// continuous-training loop (the `intellitag-online` crate's WAL sink
 /// implements this). The gateway calls it once per *accepted* request —
-/// HTTP requests that parsed, binary frames that were answered inline or
-/// parked on the sharded front — never for rejected, shed or cold-start
-/// traffic, so the event stream matches what the models actually served.
+/// HTTP requests that parsed, binary frames the front accepted — never for
+/// rejected, shed or cold-start traffic, so the event stream matches what
+/// the models actually served.
 ///
 /// Implementations must be cheap and non-blocking: they run on the serving
-/// threads, between request handling and the response write.
+/// threads — after request handling and before the response write on the
+/// HTTP path, on the connection's reader right after the front accepts the
+/// frame on the binary path (its reply may already be on its way out).
 pub trait EventSink: Send + Sync {
     /// A served tag-click trail.
     fn tag_click(&self, tenant: usize, clicks: &[usize]);
@@ -441,10 +444,6 @@ fn serve_connection<S: TagService>(
     metrics.conns_active.add(-1.0);
 }
 
-/// How often the binary loop re-sweeps its in-flight replies while the
-/// socket is quiet.
-const BINARY_SWEEP_POLL: Duration = Duration::from_millis(1);
-
 /// One accepted-but-unanswered binary request: everything needed to emit
 /// its reply frame when the front completes it, in whatever order that
 /// happens.
@@ -454,370 +453,426 @@ struct Inflight {
     route: &'static str,
     trace: TraceHandle,
     timer: SpanTimer,
-    reply: BinReply,
-}
-
-/// The three reply shapes a request frame can park on.
-enum BinReply {
-    Question(PendingReply<QuestionResponse>),
-    Click(PendingReply<TagClickResponse>),
-    Cold(PendingReply<Vec<usize>>),
 }
 
 impl Inflight {
-    fn poll(&mut self) -> Poll<RecommendResponse> {
-        let elapsed = self.timer.elapsed_us();
-        match &mut self.reply {
-            BinReply::Question(p) => match p.try_take() {
-                Poll::Ready(r) => Poll::Ready(RecommendResponse::from_question(&r)),
-                Poll::NotYet => Poll::NotYet,
-                Poll::Lost => Poll::Lost,
-            },
-            BinReply::Click(p) => match p.try_take() {
-                Poll::Ready(r) => Poll::Ready(RecommendResponse::from_click(&r)),
-                Poll::NotYet => Poll::NotYet,
-                Poll::Lost => Poll::Lost,
-            },
-            BinReply::Cold(p) => match p.try_take() {
-                Poll::Ready(tags) => Poll::Ready(RecommendResponse::from_cold_start(tags, elapsed)),
-                Poll::NotYet => Poll::NotYet,
-                Poll::Lost => Poll::Lost,
-            },
-        }
-    }
-
-    fn poll_timeout(&mut self, timeout: Duration) -> Poll<RecommendResponse> {
-        let elapsed = self.timer.elapsed_us();
-        match &mut self.reply {
-            BinReply::Question(p) => match p.take_timeout(timeout) {
-                Poll::Ready(r) => Poll::Ready(RecommendResponse::from_question(&r)),
-                Poll::NotYet => Poll::NotYet,
-                Poll::Lost => Poll::Lost,
-            },
-            BinReply::Click(p) => match p.take_timeout(timeout) {
-                Poll::Ready(r) => Poll::Ready(RecommendResponse::from_click(&r)),
-                Poll::NotYet => Poll::NotYet,
-                Poll::Lost => Poll::Lost,
-            },
-            BinReply::Cold(p) => match p.take_timeout(timeout) {
-                Poll::Ready(tags) => Poll::Ready(RecommendResponse::from_cold_start(tags, elapsed)),
-                Poll::NotYet => Poll::NotYet,
-                Poll::Lost => Poll::Lost,
-            },
-        }
-    }
-
-    /// Closes out the request's trace and offers it to the collector.
-    fn finish_trace(self, metrics: &GatewayMetrics) {
+    /// Accounts for the request and appends its reply frame to `out`: the
+    /// front's reply as a response frame, or — when the front dropped it or
+    /// the drain deadline passed — a typed `ShuttingDown` error frame. The
+    /// route counter, latency histogram and trace are all closed out here,
+    /// before the bytes can reach the socket.
+    fn answer(self, reply: Result<Reply, &str>, metrics: &GatewayMetrics, out: &mut Vec<u8>) {
+        let (elapsed, corr, tid) = (self.timer.elapsed_us(), self.corr_id, self.trace_id);
+        let (status, frame) = match reply {
+            Ok(reply) => {
+                let resp = match reply {
+                    Reply::Question(r) => RecommendResponse::from_question(&r),
+                    Reply::TagClick(r) => RecommendResponse::from_click(&r),
+                    Reply::ColdStart(tags) => RecommendResponse::from_cold_start(tags, elapsed),
+                };
+                (200, codec::encode_response_frame(corr, tid, &resp))
+            }
+            Err(why) => (503, codec::encode_error_frame(corr, tid, ErrorCode::ShuttingDown, why)),
+        };
+        metrics.request(self.route, status, elapsed);
         self.trace.record("gateway", 0, self.trace.now_us());
         metrics.traces.offer(self.trace.finish());
+        out.extend_from_slice(&frame);
     }
 }
 
-fn write_frame(writer: &mut TcpStream, bytes: &[u8]) -> bool {
-    writer.write_all(bytes).and_then(|_| writer.flush()).is_ok()
+/// What a completion token stands for on a binary connection.
+enum Parked {
+    /// A request riding the front, answered when its completion arrives.
+    Request(Inflight),
+    /// A reply frame the reader produced itself (a refusal, a malformed
+    /// frame). It takes its turn on the completion queue like any reply,
+    /// so the socket keeps one writer and frames leave in event order.
+    Frame(Vec<u8>),
 }
 
-/// Writes every buffered reply frame in one syscall. Reply frames are
-/// accumulated per loop pass rather than written one at a time: on a
-/// pipelined connection the dispatch loop answers whole bursts of inline
-/// requests, and one `write` per burst is a large share of the binary
-/// path's throughput edge over HTTP.
-fn flush_out(writer: &mut TcpStream, out: &mut Vec<u8>) -> bool {
-    if out.is_empty() {
-        return true;
+impl Parked {
+    /// Appends the entry's reply frame to `out`; `reply` is the front's
+    /// answer to a request, or why there is none.
+    fn write(self, reply: Result<Reply, &str>, metrics: &GatewayMetrics, out: &mut Vec<u8>) {
+        match self {
+            Parked::Request(fl) => fl.answer(reply, metrics, out),
+            Parked::Frame(frame) => out.extend_from_slice(&frame),
+        }
     }
-    let ok = writer.write_all(out).and_then(|_| writer.flush()).is_ok();
-    out.clear();
-    ok
 }
 
-/// Serves one binary-framed connection: request frames are decoded off an
-/// accumulator buffer, dispatched through the `submit_*` surface (so the
-/// sharded front's queue admission — and its shedding — applies per
-/// frame), and their replies are swept out **in completion order**, each
-/// matched to its request by the echoed correlation id. At most
-/// `cfg.binary_inflight` frames ride in flight; beyond that the loop stops
-/// reading, which is ordinary TCP backpressure.
+/// What the two halves of a binary connection share.
+#[derive(Default)]
+struct ConnState {
+    /// The slab of parked entries; an entry's index is its token.
+    slots: Vec<Option<Parked>>,
+    free: Vec<usize>,
+    /// Set when the reader stops dispatching: the single deadline by which
+    /// the writer gives up on whatever is still in flight.
+    drain_by: Option<Instant>,
+    /// The writer exited (the socket broke): nothing more can be answered.
+    writer_gone: bool,
+}
+
+impl ConnState {
+    fn in_flight(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn insert(&mut self, parked: Parked) -> u64 {
+        let token = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[token] = Some(parked);
+        token as u64
+    }
+
+    /// Removes a parked entry (its completion arrived, or it was refused).
+    fn take(&mut self, token: u64) -> Option<Parked> {
+        let parked = self.slots.get_mut(token as usize)?.take()?;
+        self.free.push(token as usize);
+        Some(parked)
+    }
+}
+
+/// A binary connection's shared state plus the in-flight permit.
+#[derive(Default)]
+struct BinaryConn {
+    state: Mutex<ConnState>,
+    permit: Condvar,
+}
+
+impl BinaryConn {
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        // Every update leaves the slab consistent, so a poisoned lock (a
+        // panicking half) is safe to keep using for the other half's exit.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Serves one binary-framed connection as two halves. This thread reads:
+/// it **blocks in `read`** (idle deadline only), decodes request frames and
+/// dispatches them through the `submit_*` surface, so the sharded front's
+/// queue admission — and its shedding — applies per frame. The writer half
+/// **blocks on the connection's completion queue** and writes each reply
+/// the moment the front finishes it, in completion order, matched to its
+/// request by the echoed correlation id.
 fn serve_binary_connection<S: TagService>(
     service: &S,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
+    reader: BufReader<TcpStream>,
+    socket: TcpStream,
     metrics: &GatewayMetrics,
     shutdown: &AtomicBool,
     cfg: &GatewayConfig,
     sink: &SharedSink,
 ) {
-    let mut buf: Vec<u8> = Vec::with_capacity(4 * 1024);
-    let mut out: Vec<u8> = Vec::with_capacity(4 * 1024);
-    let mut inflight: Vec<Inflight> = Vec::new();
-    let max_payload = cfg.limits.max_body_bytes;
-    'conn: loop {
-        // 1. Sweep: emit every reply that has completed, in whatever order
-        // the front finished them.
-        let mut i = 0;
-        while i < inflight.len() {
-            match inflight[i].poll() {
-                Poll::NotYet => i += 1,
-                Poll::Ready(resp) => {
-                    let fl = inflight.swap_remove(i);
-                    let frame = codec::encode_response_frame(fl.corr_id, fl.trace_id, &resp);
-                    metrics.request(fl.route, 200, fl.timer.elapsed_us());
-                    fl.finish_trace(metrics);
-                    out.extend_from_slice(&frame);
+    let conn = &BinaryConn::default();
+    let (queue, completions) = mpsc::channel();
+    let writer = Some(WriterHalf { completions, conn, socket, metrics, out: Vec::new() });
+    thread::scope(|scope| {
+        let mut half =
+            ReaderHalf { service, conn, queue, metrics, shutdown, cfg, sink, scope, writer };
+        half.read_requests(reader);
+        // Done reading (EOF, idle, shutdown, or a fatal frame): start the
+        // drain clock and park an empty wake-up frame under the same lock,
+        // so a writer that sees the deadline also sees the wake-up owed.
+        let mut st = conn.lock();
+        st.drain_by = Some(Instant::now() + cfg.read_timeout);
+        half.complete_locally(st, Vec::new());
+        // Drain here, unless the writer has a thread (which the scope joins).
+        if let Some(writer) = half.writer.take() {
+            writer.run();
+        }
+    });
+}
+
+/// The writer half: the completion queue's receiver, the socket's writer.
+struct WriterHalf<'a> {
+    completions: Receiver<Completion>,
+    conn: &'a BinaryConn,
+    socket: TcpStream,
+    metrics: &'a GatewayMetrics,
+    out: Vec<u8>,
+}
+
+impl WriterHalf<'_> {
+    /// Takes `first` and everything else already completed, frees their
+    /// permits, encodes the batch and issues one write. Returns how many
+    /// entries are still parked and the drain deadline, as of the lock the
+    /// batch was taken under.
+    fn flush(&mut self, first: Option<Completion>) -> io::Result<(usize, Option<Instant>)> {
+        let mut st = self.conn.lock();
+        let batch = first.into_iter().chain(self.completions.try_iter());
+        let done: Vec<_> = batch.filter_map(|c| Some((st.take(c.token)?, c.reply))).collect();
+        let state = (st.in_flight(), st.drain_by);
+        drop(st);
+        self.conn.permit.notify_one();
+        for (parked, reply) in done {
+            // No reply to a request: the serving worker dropped it — the
+            // front is tearing down under us.
+            parked.write(reply.ok_or("service reply lost"), self.metrics, &mut self.out);
+        }
+        let wrote = self.socket.write_all(&self.out);
+        self.out.clear();
+        if wrote.is_err() {
+            // Broken pipe mid-conversation: nothing more can be written.
+            // Release the reader, blocked in `read` or on a permit.
+            self.conn.lock().writer_gone = true;
+            self.conn.permit.notify_one();
+            let _ = self.socket.shutdown(Shutdown::Both);
+        }
+        wrote.map(|()| state)
+    }
+
+    /// Blocks in `recv` on the completion queue and flushes on every wake.
+    /// While the reader is live it waits without a deadline; once the
+    /// reader is done (`drain_by` set) the whole drain shares that **one**
+    /// deadline. It ends with nothing left in flight, or at the deadline
+    /// with a typed `ShuttingDown` frame for whatever still is.
+    fn run(mut self) {
+        let mut drain_by: Option<Instant> = None;
+        loop {
+            let first = match drain_by {
+                None => self.completions.recv().ok(),
+                Some(by) => {
+                    self.completions.recv_timeout(by.saturating_duration_since(Instant::now())).ok()
                 }
-                Poll::Lost => {
-                    // The serving worker dropped the reply channel — the
-                    // front is tearing down under us.
-                    let fl = inflight.swap_remove(i);
-                    metrics.request(fl.route, 503, fl.timer.elapsed_us());
-                    let frame = codec::encode_error_frame(
-                        fl.corr_id,
-                        fl.trace_id,
-                        ErrorCode::ShuttingDown,
-                        "service reply lost",
-                    );
-                    out.extend_from_slice(&frame);
-                }
+            };
+            let Some(first) = first else { break };
+            match self.flush(Some(first)) {
+                Err(_) => return,
+                Ok((0, Some(_))) => break,
+                Ok((_, by)) => drain_by = by,
             }
         }
-        if !flush_out(&mut writer, &mut out) {
-            break 'conn;
+        let mut st = self.conn.lock();
+        st.writer_gone = true;
+        let unanswered: Vec<_> = (0..st.slots.len() as u64).filter_map(|t| st.take(t)).collect();
+        drop(st);
+        for parked in unanswered {
+            parked.write(Err("server draining"), self.metrics, &mut self.out);
         }
+        let _ = self.socket.write_all(&self.out);
+    }
+}
 
-        // 2. Drain on shutdown: every in-flight frame gets its reply or a
-        // typed ShuttingDown error — bounded, never a hang.
-        if shutdown.load(Ordering::SeqCst) {
-            drain_inflight(inflight, &mut writer, metrics, cfg);
-            return;
+/// The reader half: what a request frame needs on its way to the front.
+struct ReaderHalf<'scope, 'env, S> {
+    service: &'env S,
+    conn: &'env BinaryConn,
+    queue: CompletionQueue,
+    metrics: &'env GatewayMetrics,
+    shutdown: &'env AtomicBool,
+    cfg: &'env GatewayConfig,
+    sink: &'env SharedSink,
+    scope: &'scope thread::Scope<'scope, 'env>,
+    /// The writer half, until it moves to a thread of its own.
+    writer: Option<WriterHalf<'env>>,
+}
+
+impl<S: TagService> ReaderHalf<'_, '_, S> {
+    /// Called before this thread blocks, in `read` or for a permit. While
+    /// it still holds the writer half it writes what has completed itself;
+    /// if a request is still in flight after that, the writer half moves to
+    /// a `gw-writer-N` thread for the rest of the connection. `false` when
+    /// the socket is broken.
+    fn settle(&mut self) -> bool {
+        let Some(mut writer) = self.writer.take() else { return true };
+        match writer.flush(None) {
+            Err(_) => false,
+            Ok((0, _)) => {
+                self.writer = Some(writer);
+                true
+            }
+            Ok(_) => {
+                let name =
+                    thread::current().name().unwrap_or("gw-worker").replace("worker", "writer");
+                let spawned =
+                    thread::Builder::new().name(name).spawn_scoped(self.scope, || writer.run());
+                if spawned.is_err() {
+                    self.conn.lock().writer_gone = true;
+                }
+                spawned.is_ok()
+            }
         }
+    }
 
-        // 3. Backpressure: at the in-flight cap, stop reading and let the
-        // sweep catch up.
-        if inflight.len() >= cfg.binary_inflight {
-            thread::sleep(BINARY_SWEEP_POLL);
-            continue;
+    /// Parks an entry and returns its completion token, blocking while
+    /// `binary_inflight` entries are already parked — ordinary TCP
+    /// backpressure, since the reader is not reading meanwhile. `None` when
+    /// the connection is ending (writer gone, or shutdown seen at the cap):
+    /// the entry is answered past the cap — a request with a typed
+    /// `ShuttingDown` frame, accounted as usual — and the reader must stop.
+    fn park(&mut self, parked: Parked) -> Option<u64> {
+        let cap = self.cfg.binary_inflight;
+        let mut st = self.conn.lock();
+        if st.in_flight() >= cap && self.writer.is_some() {
+            drop(st);
+            self.settle();
+            st = self.conn.lock();
         }
+        while st.in_flight() >= cap && !st.writer_gone && !self.shutdown.load(Ordering::SeqCst) {
+            let wait = self.conn.permit.wait_timeout(st, self.cfg.read_timeout);
+            st = wait.unwrap_or_else(|e| e.into_inner()).0;
+        }
+        if st.in_flight() < cap && !st.writer_gone {
+            return Some(st.insert(parked));
+        }
+        let mut frame = Vec::new();
+        parked.write(Err("server draining"), self.metrics, &mut frame);
+        self.complete_locally(st, frame);
+        None
+    }
 
-        // 4. Decode and dispatch every complete frame in the buffer.
-        // Replies accumulate on `out` and hit the socket in one write.
+    /// Parks a frame the reader produced itself, permit or not, and queues
+    /// its completion behind the replies already completed.
+    fn complete_locally(&self, mut st: MutexGuard<'_, ConnState>, frame: Vec<u8>) {
+        let token = st.insert(Parked::Frame(frame));
+        drop(st);
+        let _ = self.queue.send(Completion { token, reply: None });
+    }
+
+    /// Counts and answers a frame the wire layer refuses. The answer holds
+    /// a permit like a request, so a client that streams refusable frames
+    /// without reading its replies is backpressured the same way. `false`
+    /// when the connection is ending.
+    fn refuse(&mut self, kind: &str, ids: (u64, u64), code: ErrorCode, why: &str) -> bool {
+        self.metrics.wire_err(kind);
+        self.metrics.request("invalid_bin", 400, 0);
+        let frame = codec::encode_error_frame(ids.0, ids.1, code, why);
+        let Some(token) = self.park(Parked::Frame(frame)) else { return false };
+        self.queue.send(Completion { token, reply: None }).is_ok()
+    }
+
+    /// Decode, dispatch, read more — until the client is done sending
+    /// (EOF), idles past the read deadline with nothing owed, breaks the
+    /// frame stream, or the gateway shuts down.
+    fn read_requests(&mut self, mut reader: BufReader<TcpStream>) {
+        let mut buf: Vec<u8> = Vec::with_capacity(4 * 1024);
         loop {
-            match codec::decode_frame(&buf, max_payload) {
-                Decoded::NeedMore => break,
-                Decoded::Fatal(err) => {
-                    // No trustworthy frame boundary remains: report, answer
-                    // what we already accepted, and close.
-                    metrics.wire_err(err.kind());
-                    metrics.request("invalid_bin", 400, 0);
-                    let frame = codec::encode_error_frame(0, 0, err.code(), &err.to_string());
-                    out.extend_from_slice(&frame);
-                    let _ = flush_out(&mut writer, &mut out);
-                    drain_inflight(inflight, &mut writer, metrics, cfg);
+            // Decode and dispatch every complete frame in the buffer.
+            loop {
+                let live = match codec::decode_frame(&buf, self.cfg.limits.max_body_bytes) {
+                    Decoded::NeedMore => break,
+                    Decoded::Fatal(err) => {
+                        // No trustworthy frame boundary remains: report,
+                        // answer what we already accepted, and close.
+                        self.refuse(err.kind(), (0, 0), err.code(), &err.to_string());
+                        false
+                    }
+                    Decoded::Rejected { corr_id, trace_id, error, consumed } => {
+                        buf.drain(..consumed);
+                        let ids = (corr_id, trace_id);
+                        self.refuse(error.kind(), ids, error.code(), &error.to_string())
+                    }
+                    Decoded::Frame(frame, consumed) => {
+                        buf.drain(..consumed);
+                        self.dispatch_frame(frame)
+                    }
+                };
+                if !live {
                     return;
                 }
-                Decoded::Rejected { corr_id, trace_id, error, consumed } => {
-                    buf.drain(..consumed);
-                    metrics.wire_err(error.kind());
-                    metrics.request("invalid_bin", 400, 0);
-                    let frame = codec::encode_error_frame(
-                        corr_id,
-                        trace_id,
-                        error.code(),
-                        &error.to_string(),
-                    );
-                    out.extend_from_slice(&frame);
-                }
-                Decoded::Frame(frame, consumed) => {
-                    buf.drain(..consumed);
-                    dispatch_frame(service, frame, metrics, &mut out, &mut inflight, sink);
-                    if inflight.len() >= cfg.binary_inflight {
-                        break;
-                    }
-                }
             }
-        }
-        if !flush_out(&mut writer, &mut out) {
-            break 'conn;
-        }
-
-        // 5. Read more bytes. With replies in flight the deadline is a
-        // short poll so the sweep stays responsive; idle connections get
-        // the ordinary read timeout, after which they are closed just like
-        // an idle HTTP keep-alive.
-        let timeout = if inflight.is_empty() { cfg.read_timeout } else { BINARY_SWEEP_POLL };
-        let _ = reader.get_ref().set_read_timeout(Some(timeout));
-        let consumed = match reader.fill_buf() {
-            Ok([]) => {
-                // Clean EOF: the client is done sending; answer the rest.
-                drain_inflight(inflight, &mut writer, metrics, cfg);
+            if self.shutdown.load(Ordering::SeqCst) || !self.settle() {
                 return;
             }
-            Ok(chunk) => {
-                buf.extend_from_slice(chunk);
-                chunk.len()
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if inflight.is_empty() {
-                    // Idle past the deadline with nothing owed: close.
-                    return;
+            // Block for more bytes. The only deadline is the idle one: past
+            // it a connection with nothing owed is closed just like an idle
+            // HTTP keep-alive, and one with replies still owed keeps
+            // listening.
+            let consumed = match reader.fill_buf() {
+                // Clean EOF: the client is done sending; the drain answers
+                // the rest.
+                Ok([]) => return,
+                Ok(chunk) => {
+                    buf.extend_from_slice(chunk);
+                    chunk.len()
                 }
-                0
-            }
-            Err(_) => break 'conn,
-        };
-        reader.consume(consumed);
-    }
-    // Broken pipe mid-conversation: nothing more can be written, but the
-    // trace/latency accounting for completed work already happened.
-}
-
-/// Answers every in-flight request before the connection closes: replies
-/// that complete within the read deadline are sent as response frames,
-/// anything still pending (or lost) gets a typed `ShuttingDown` error
-/// frame. Bounded by `read_timeout` per request, so drain never hangs.
-fn drain_inflight(
-    inflight: Vec<Inflight>,
-    writer: &mut TcpStream,
-    metrics: &GatewayMetrics,
-    cfg: &GatewayConfig,
-) {
-    for mut fl in inflight {
-        match fl.poll_timeout(cfg.read_timeout) {
-            Poll::Ready(resp) => {
-                let frame = codec::encode_response_frame(fl.corr_id, fl.trace_id, &resp);
-                metrics.request(fl.route, 200, fl.timer.elapsed_us());
-                fl.finish_trace(metrics);
-                let _ = write_frame(writer, &frame);
-            }
-            Poll::NotYet | Poll::Lost => {
-                metrics.request(fl.route, 503, fl.timer.elapsed_us());
-                let frame = codec::encode_error_frame(
-                    fl.corr_id,
-                    fl.trace_id,
-                    ErrorCode::ShuttingDown,
-                    "server draining",
-                );
-                let _ = write_frame(writer, &frame);
-            }
-        }
-    }
-}
-
-/// Decodes and dispatches one well-formed request frame. Inline answers
-/// and rejections append their reply frames to `out` (flushed by the
-/// caller in one write per burst); accepted submissions join the
-/// in-flight set.
-fn dispatch_frame<S: TagService>(
-    service: &S,
-    frame: codec::Frame,
-    metrics: &GatewayMetrics,
-    out: &mut Vec<u8>,
-    inflight: &mut Vec<Inflight>,
-    sink: &SharedSink,
-) {
-    let route = match frame.frame_type {
-        FrameType::Recommend => "recommend_bin",
-        FrameType::Click => "click_bin",
-        // Response/Error frames flow server → client only.
-        FrameType::Response | FrameType::Error => {
-            metrics.wire_err("unexpected_type");
-            metrics.request("invalid_bin", 400, 0);
-            let reply = codec::encode_error_frame(
-                frame.corr_id,
-                frame.trace_id,
-                ErrorCode::BadFrameType,
-                "server accepts request frames only",
-            );
-            out.extend_from_slice(&reply);
-            return;
-        }
-    };
-    let req = match codec::decode_request_payload(&frame.payload) {
-        Ok(r) => r,
-        Err(e) => {
-            metrics.wire_err(e.kind());
-            metrics.request("invalid_bin", 400, 0);
-            let reply = codec::encode_error_frame(
-                frame.corr_id,
-                frame.trace_id,
-                ErrorCode::BadPayload,
-                &e.to_string(),
-            );
-            out.extend_from_slice(&reply);
-            return;
-        }
-    };
-    // Propagate the client's trace id, mint only when absent (zero) — the
-    // binary twin of the X-Trace-Id header rule.
-    let trace_id = if frame.trace_id != 0 { frame.trace_id } else { metrics.trace_ids.next_id() };
-    let trace = TraceHandle::new(trace_id);
-    let timer = SpanTimer::start();
-    let corr_id = frame.corr_id;
-
-    enum Outcome {
-        Done(RecommendResponse),
-        Parked(BinReply),
-        Shed(ShedReason),
-    }
-    let outcome = match frame.frame_type {
-        FrameType::Click => match service.submit_tag_click(req.tenant, &req.clicks, Some(&trace)) {
-            Submission::Ready(r) => Outcome::Done(RecommendResponse::from_click(&r)),
-            Submission::Pending(p) => Outcome::Parked(BinReply::Click(p)),
-            Submission::Rejected(reason) => Outcome::Shed(reason),
-        },
-        _ => match &req.question {
-            Some(q) => match service.submit_question(req.tenant, q, Some(&trace)) {
-                Submission::Ready(r) => Outcome::Done(RecommendResponse::from_question(&r)),
-                Submission::Pending(p) => Outcome::Parked(BinReply::Question(p)),
-                Submission::Rejected(reason) => Outcome::Shed(reason),
-            },
-            None => match service.submit_cold_start(req.tenant) {
-                Submission::Ready(tags) => {
-                    Outcome::Done(RecommendResponse::from_cold_start(tags, timer.elapsed_us()))
-                }
-                Submission::Pending(p) => Outcome::Parked(BinReply::Cold(p)),
-                Submission::Rejected(reason) => Outcome::Shed(reason),
-            },
-        },
-    };
-    // Log the event for the continuous-training loop once the request is
-    // *accepted* (answered inline or parked on the sharded front) — shed
-    // frames never reached a model and must not train one. Cold starts
-    // carry no signal either: no clicks, no question.
-    let log_event = |sink: &SharedSink| {
-        if let Some(sink) = sink {
-            match frame.frame_type {
-                FrameType::Click => sink.tag_click(req.tenant, &req.clicks),
-                _ => {
-                    if let Some(q) = &req.question {
-                        sink.question(req.tenant, q);
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    if self.conn.lock().in_flight() == 0 {
+                        return;
                     }
+                    0
                 }
+                Err(_) => return,
+            };
+            reader.consume(consumed);
+        }
+    }
+
+    /// Decodes and dispatches one well-formed request frame: its metadata
+    /// is parked under a fresh token (blocking for an in-flight permit),
+    /// then the request is submitted with the connection's completion
+    /// queue, so the reply — inline or from a shard — reaches the writer
+    /// the moment it exists. Returns `false` when the connection is ending.
+    fn dispatch_frame(&mut self, frame: codec::Frame) -> bool {
+        let ids = (frame.corr_id, frame.trace_id);
+        let route = match frame.frame_type {
+            FrameType::Recommend => "recommend_bin",
+            FrameType::Click => "click_bin",
+            // Response/Error frames flow server → client only.
+            FrameType::Response | FrameType::Error => {
+                let why = "server accepts request frames only";
+                return self.refuse("unexpected_type", ids, ErrorCode::BadFrameType, why);
+            }
+        };
+        let req = match codec::decode_request_payload(&frame.payload) {
+            Ok(r) => r,
+            Err(e) => return self.refuse(e.kind(), ids, ErrorCode::BadPayload, &e.to_string()),
+        };
+        // Propagate the client's trace id, mint only when absent (zero) —
+        // the binary twin of the X-Trace-Id header rule.
+        let trace_id =
+            if frame.trace_id != 0 { frame.trace_id } else { self.metrics.trace_ids.next_id() };
+        let trace = TraceHandle::new(trace_id);
+        let parked = Inflight {
+            corr_id: frame.corr_id,
+            trace_id,
+            route,
+            trace: trace.clone(),
+            timer: SpanTimer::start(),
+        };
+        let Some(token) = self.park(Parked::Request(parked)) else { return false };
+        let (service, queue) = (self.service, &self.queue);
+        let submitted = match (frame.frame_type, &req.question) {
+            (FrameType::Click, _) => {
+                service.submit_tag_click(req.tenant, &req.clicks, Some(&trace), queue, token)
+            }
+            (_, Some(q)) => service.submit_question(req.tenant, q, Some(&trace), queue, token),
+            (_, None) => service.submit_cold_start(req.tenant, queue, token),
+        };
+        match (submitted, self.sink) {
+            // Log the event for the continuous-training loop once the
+            // request is *accepted* (answered inline or riding the sharded
+            // front) — shed frames never reached a model and must not train
+            // one. Cold starts carry no signal either: no clicks, no
+            // question.
+            (Ok(()), Some(sink)) => match (frame.frame_type, &req.question) {
+                (FrameType::Click, _) => sink.tag_click(req.tenant, &req.clicks),
+                (_, Some(q)) => sink.question(req.tenant, q),
+                (_, None) => {}
+            },
+            (Ok(()), None) => {}
+            (Err(reason), _) => {
+                // Refused: no completion will come, so the reader completes
+                // the permit itself, the refusal in the request's place.
+                let mut st = self.conn.lock();
+                let Some(Parked::Request(fl)) = st.take(token) else { return false };
+                self.metrics.request(route, 503, fl.timer.elapsed_us());
+                let (code, msg) = match reason {
+                    ShedReason::ShuttingDown => (ErrorCode::ShuttingDown, "server draining"),
+                    _ => (ErrorCode::Shed, "overloaded"),
+                };
+                let frame = codec::encode_error_frame(fl.corr_id, fl.trace_id, code, msg);
+                self.complete_locally(st, frame);
             }
         }
-    };
-    match outcome {
-        Outcome::Done(resp) => {
-            log_event(sink);
-            metrics.request(route, 200, timer.elapsed_us());
-            let frame = codec::encode_response_frame(corr_id, trace_id, &resp);
-            trace.record("gateway", 0, trace.now_us());
-            metrics.traces.offer(trace.finish());
-            out.extend_from_slice(&frame);
-        }
-        Outcome::Parked(reply) => {
-            log_event(sink);
-            inflight.push(Inflight { corr_id, trace_id, route, trace, timer, reply });
-        }
-        Outcome::Shed(reason) => {
-            metrics.request(route, 503, timer.elapsed_us());
-            let (code, msg) = match reason {
-                ShedReason::ShuttingDown => (ErrorCode::ShuttingDown, "server draining"),
-                _ => (ErrorCode::Shed, "overloaded"),
-            };
-            let reply = codec::encode_error_frame(corr_id, trace_id, code, msg);
-            out.extend_from_slice(&reply);
-        }
+        true
     }
 }
 

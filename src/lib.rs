@@ -68,9 +68,8 @@ pub mod prelude {
     };
     pub use intellitag_core::{
         evaluate_offline, simulate_online, Governor, GovernorConfig, GovernorRuntime, IntelliTag,
-        ModelServer, ModelSwap, PendingReply, ProtocolConfig, RoutingPolicy, RuntimeKnobs,
-        ShardConfig, ShardedServer, ShedReason, SimConfig, Submission, SwapPayload, TagRecConfig,
-        TagService,
+        ModelServer, ModelSwap, ProtocolConfig, RoutingPolicy, RuntimeKnobs, ShardConfig,
+        ShardedServer, ShedReason, SimConfig, SwapPayload, TagRecConfig, TagService,
     };
     pub use intellitag_datagen::{
         labeled_sentences, sequence_examples, split_sessions, Session, UserModel, World,
