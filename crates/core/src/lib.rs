@@ -37,6 +37,7 @@ mod experiment;
 mod governor;
 mod graph_layers;
 mod model;
+mod plan;
 mod qa_matcher;
 mod serving;
 mod sharded;

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 
 use crate::config::TagRecConfig;
 use crate::graph_layers::GraphLayers;
+use crate::plan::ServingPlan;
 
 /// Maximum clicks kept as context (sessions cap at 12, plus the mask slot).
 const MAX_CTX: usize = 15;
@@ -32,6 +33,9 @@ pub struct IntelliTag {
     /// uploads to online model servers instead of running GNN layers
     /// per request (§V-B).
     z_table: Matrix,
+    /// The sequence parameters as the serving forward reads them: packed
+    /// once per model version, refreshed together with `z_table`.
+    plan: ServingPlan,
     /// Graph-layer parameters (kept for T+1 snapshot upload, §V-B).
     graph_params: ParamSet,
     /// Sequence-layer parameters (kept for T+1 snapshot upload, §V-B).
@@ -96,6 +100,7 @@ impl IntelliTag {
         );
         let out = Linear::new("tagrec.out", cfg.dim, num_tags, true, &mut seq_params, &mut rng);
 
+        let plan = ServingPlan::build(&cfg, &pos, &mask_emb, &encoder, &out);
         IntelliTag {
             cfg,
             graph_layers,
@@ -105,9 +110,20 @@ impl IntelliTag {
             out,
             num_tags,
             z_table: Matrix::zeros(num_tags, cfg.dim),
+            plan,
             graph_params,
             seq_params,
         }
+    }
+
+    /// Installs the serving state of the current parameters: the frozen tag
+    /// embeddings and the packed sequence weights. Every path that changes
+    /// parameters and then serves (`train`, `train_increment`, `load`) ends
+    /// here, so the two can never describe different model versions.
+    fn freeze_for_serving(&mut self, z_table: Matrix) {
+        self.z_table = z_table;
+        self.plan =
+            ServingPlan::build(&self.cfg, &self.pos, &self.mask_emb, &self.encoder, &self.out);
     }
 
     /// Trains the model.
@@ -163,7 +179,7 @@ impl IntelliTag {
         }
 
         // Final offline inference pass: freeze tag embeddings for serving.
-        model.z_table = model.graph_layers.precompute_all();
+        model.freeze_for_serving(model.graph_layers.precompute_all());
         model
     }
 
@@ -216,7 +232,7 @@ impl IntelliTag {
         // Re-freeze tag embeddings for serving, exactly like the tail of
         // offline training (a no-op for the step-by-step variant, where the
         // graph layers did not move).
-        self.z_table = self.graph_layers.precompute_all();
+        self.freeze_for_serving(self.graph_layers.precompute_all());
     }
 
     /// Serializes the trained model's parameters and precomputed tag
@@ -245,13 +261,14 @@ impl IntelliTag {
         all.extend(&model.graph_params);
         all.extend(&model.seq_params);
         snapshot.restore(&all)?;
-        model.z_table = intellitag_tensor::read_matrix(r)?;
-        if model.z_table.shape() != (model.num_tags, model.cfg.dim) {
+        let z_table = intellitag_tensor::read_matrix(r)?;
+        if z_table.shape() != (model.num_tags, model.cfg.dim) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "z table shape mismatch",
             ));
         }
+        model.freeze_for_serving(z_table);
         Ok(model)
     }
 
@@ -441,50 +458,6 @@ impl IntelliTag {
         self.out.forward(tape, &last) // 1 x |T|
     }
 
-    /// One stacked forward over several contexts at once: every context's
-    /// `[z_seq; mask]` block is row-stacked into a single matrix and run
-    /// through the encoder under a block-diagonal attention mask, so a
-    /// micro-batch costs one forward instead of one per request.
-    ///
-    /// Bit-exact with [`Self::seq_logits`] per row: all non-attention ops are
-    /// row-local, the additive `0.0`/`-inf` mask leaves in-block softmax bits
-    /// untouched, and the GEMM engine's fixed ascending-k accumulation
-    /// makes the masked (exactly-zero) probabilities bit-preserving no-ops,
-    /// so each block's accumulation order matches the per-sequence run.
-    /// Contexts must be non-empty and pre-clipped.
-    fn seq_logits_batch(&self, contexts: &[&[usize]]) -> Matrix {
-        let tape = Tape::new();
-        let mask_emb = tape.param(&self.mask_emb);
-        let mut parts: Vec<Tensor> = Vec::with_capacity(contexts.len() * 2);
-        let mut lens = Vec::with_capacity(contexts.len());
-        let mut pos_ids = Vec::new();
-        let mut pred_rows = Vec::with_capacity(contexts.len());
-        let mut offset = 0;
-        for &ctx in contexts {
-            let n = ctx.len();
-            assert!(n > 0, "seq_logits_batch: contexts must be non-empty");
-            parts.push(self.gather_frozen(&tape, ctx));
-            parts.push(mask_emb.clone());
-            lens.push(n + 1);
-            pos_ids.extend(0..=n);
-            pred_rows.push(if self.cfg.use_contextual_attention {
-                offset + n // the mask slot
-            } else {
-                offset + n - 1 // ablation w/o ca: the most recent click
-            });
-            offset += n + 1;
-        }
-        let x = Tensor::concat_rows(&parts);
-        let x = x.add(&self.pos.forward_ids(&tape, &pos_ids));
-        let h = if self.cfg.use_contextual_attention {
-            let attn_mask = tape.constant(Matrix::block_diag_mask(&lens));
-            self.encoder.forward_masked(&tape, &x, &attn_mask)
-        } else {
-            x
-        };
-        self.out.forward(&tape, &h.gather_rows(&pred_rows)).value() // B x |T|
-    }
-
     /// The model's configuration.
     pub fn config(&self) -> &TagRecConfig {
         &self.cfg
@@ -529,28 +502,31 @@ impl SequenceRecommender for IntelliTag {
         if context.is_empty() {
             return vec![0.0; self.num_tags];
         }
-        let ctx = clip_context(context);
-        let tape = Tape::new();
-        let z_seq = self.gather_frozen(&tape, ctx);
-        self.seq_logits(&tape, &z_seq).value().into_vec()
+        let ctx = std::iter::once(clip_context(context));
+        self.plan.with_logits(&self.z_table, ctx, |logits| logits.to_vec())
+    }
+
+    fn score_candidates(&self, context: &[usize], candidates: &[usize]) -> Vec<f32> {
+        // Serial scoring is a batch of one.
+        self.score_candidates_batch(&[(context, candidates)]).pop().expect("one row per request")
     }
 
     fn score_candidates_batch(&self, reqs: &[(&[usize], &[usize])]) -> Vec<Vec<f32>> {
         // Empty contexts keep `score_all`'s all-zero scores; everything else
-        // rides one stacked forward.
-        let live: Vec<usize> = (0..reqs.len()).filter(|&i| !reqs[i].0.is_empty()).collect();
-        let mut out: Vec<Vec<f32>> =
-            reqs.iter().map(|&(_, cands)| vec![0.0; cands.len()]).collect();
-        if live.is_empty() {
-            return out;
-        }
-        let contexts: Vec<&[usize]> = live.iter().map(|&i| clip_context(reqs[i].0)).collect();
-        let logits = self.seq_logits_batch(&contexts);
-        for (row, &i) in live.iter().enumerate() {
-            let all = logits.row_slice(row);
-            out[i] = reqs[i].1.iter().map(|&c| all[c]).collect();
-        }
-        out
+        // rides one stacked forward, whose logits rows come back in order.
+        let live = reqs.iter().filter(|(ctx, _)| !ctx.is_empty()).map(|(ctx, _)| clip_context(ctx));
+        self.plan.with_logits(&self.z_table, live, |logits| {
+            let mut rows = logits.chunks_exact(self.num_tags);
+            reqs.iter()
+                .map(|&(ctx, cands)| {
+                    if ctx.is_empty() {
+                        return vec![0.0; cands.len()];
+                    }
+                    let all = rows.next().expect("one logits row per live context");
+                    cands.iter().map(|&c| all[c]).collect()
+                })
+                .collect()
+        })
     }
 }
 
@@ -733,6 +709,132 @@ mod tests {
             // two paths as interchangeable.
             assert_eq!(batched[i], serial, "request {i} diverged");
         }
+    }
+
+    /// The autograd forward in eval mode — the training graph with dropout
+    /// off. The serving forward must reproduce it bit for bit.
+    fn tape_score_all(m: &IntelliTag, context: &[usize]) -> Vec<f32> {
+        let tape = Tape::new();
+        let z_seq = m.gather_frozen(&tape, clip_context(context));
+        m.seq_logits(&tape, &z_seq).value().into_vec()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// splitmix64: the seeded stream the property tests draw cases from.
+    struct Cases(u64);
+
+    impl Cases {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// A context of 1..=MAX_CTX+6 clicks (so some clip), tags drawn
+        /// from a small range (so some repeat).
+        fn context(&mut self, num_tags: usize) -> Vec<usize> {
+            let len = 1 + self.below(MAX_CTX + 6);
+            let span = 1 + self.below(num_tags);
+            (0..len).map(|_| self.below(span)).collect()
+        }
+    }
+
+    #[test]
+    fn serving_forward_is_bitwise_the_tape_forward_and_batch_is_serial() {
+        let n = 11;
+        let (g, texts, sessions) = cyclic_world(n);
+        let mut cfg = quick_cfg();
+        cfg.train.epochs = 2;
+        cfg.seq_layers = 2;
+        cfg.dim = 24; // 12-wide heads: every panel has a zero-padded tail
+        for (v, variant) in
+            [cfg, cfg.without_contextual_attention(), cfg.step_by_step()].into_iter().enumerate()
+        {
+            let m = IntelliTag::train(&g, &texts, &sessions, variant);
+            // The serving forward never enters the pool: same bits at
+            // every pool size, against a tape forward that does use it.
+            for threads in [1, 2, 4] {
+                intellitag_tensor::set_pool_threads(threads);
+                let seed = 0x5EED ^ (v as u64) << 8 ^ threads as u64;
+                let mut cases = Cases(seed);
+                for case in 0..40 {
+                    let ctx = cases.context(n);
+                    let want = tape_score_all(&m, &ctx);
+                    assert_eq!(
+                        bits(&m.score_all(&ctx)),
+                        bits(&want),
+                        "{} seed {seed:#x} case {case}: context {ctx:?}",
+                        m.name()
+                    );
+                }
+                for case in 0..25 {
+                    // A drain of 0..=9 requests, about one in five with an
+                    // empty context, each with its own candidate list.
+                    let drain: Vec<(Vec<usize>, Vec<usize>)> = (0..cases.below(10))
+                        .map(|_| {
+                            let ctx =
+                                if cases.below(5) == 0 { Vec::new() } else { cases.context(n) };
+                            let pool = (0..cases.below(n + 3)).map(|_| cases.below(n)).collect();
+                            (ctx, pool)
+                        })
+                        .collect();
+                    let reqs: Vec<(&[usize], &[usize])> =
+                        drain.iter().map(|(c, p)| (c.as_slice(), p.as_slice())).collect();
+                    let batched = m.score_candidates_batch(&reqs);
+                    assert_eq!(batched.len(), reqs.len());
+                    for (i, &(ctx, pool)) in reqs.iter().enumerate() {
+                        let what = format!("{} seed {seed:#x} drain {case} request {i}", m.name());
+                        assert_eq!(
+                            bits(&batched[i]),
+                            bits(&m.score_candidates(ctx, pool)),
+                            "{what}: batch vs serial"
+                        );
+                        let want: Vec<f32> = if ctx.is_empty() {
+                            vec![0.0; pool.len()]
+                        } else {
+                            let all = tape_score_all(&m, ctx);
+                            pool.iter().map(|&c| all[c]).collect()
+                        };
+                        assert_eq!(bits(&batched[i]), bits(&want), "{what}: batch vs tape");
+                    }
+                }
+            }
+        }
+        intellitag_tensor::set_pool_threads(0); // back to the default
+    }
+
+    #[test]
+    fn serving_plan_follows_every_parameter_change() {
+        // A plan left over from before an increment, or not rebuilt from
+        // loaded parameters, would still score — with the old weights.
+        let (g, texts, sessions) = cyclic_world(6);
+        let mut cfg = quick_cfg();
+        cfg.train.epochs = 2;
+        let (day1, day2) = sessions.split_at(sessions.len() / 2);
+        let mut m = IntelliTag::train(&g, &texts, day1, cfg);
+        let ctx = [0usize, 1, 2];
+        let before = m.score_all(&ctx);
+        assert_eq!(bits(&before), bits(&tape_score_all(&m, &ctx)));
+
+        m.train_increment(day2, 2, 1, &MetricsRegistry::new());
+        let after = m.score_all(&ctx);
+        assert_ne!(bits(&after), bits(&before), "the increment moved nothing");
+        assert_eq!(bits(&after), bits(&tape_score_all(&m, &ctx)), "plan is stale after increment");
+
+        let mut bytes = Vec::new();
+        m.save(&mut bytes).unwrap();
+        let loaded = IntelliTag::load(&g, &texts, cfg, &mut &bytes[..]).unwrap();
+        assert_eq!(
+            bits(&loaded.score_all(&ctx)),
+            bits(&tape_score_all(&loaded, &ctx)),
+            "plan is stale after load"
+        );
+        assert_eq!(bits(&loaded.score_all(&ctx)), bits(&after));
     }
 
     #[test]

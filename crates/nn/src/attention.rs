@@ -44,7 +44,9 @@ impl MultiHeadAttention {
     /// Self-attention; returns the output and per-head attention matrices
     /// (`N x N`, rows = query positions) for inspection (Fig. 5c/d).
     pub fn forward_with_attn(&self, tape: &Tape, x: &Tensor) -> (Tensor, Vec<Matrix>) {
-        self.forward_inner(tape, x, None)
+        let mut maps = Vec::with_capacity(self.heads);
+        let out = self.forward_inner(tape, x, None, Some(&mut maps));
+        (out, maps)
     }
 
     /// Self-attention with an additive score mask (`N x N`): `0.0` where a
@@ -58,15 +60,19 @@ impl MultiHeadAttention {
     /// the mostly-zero stacked operand to its packed or its zero-skipping
     /// kernel — both share the accumulation order).
     pub fn forward_masked(&self, tape: &Tape, x: &Tensor, mask: &Tensor) -> Tensor {
-        self.forward_inner(tape, x, Some(mask)).0
+        self.forward_inner(tape, x, Some(mask), None)
     }
 
+    /// The shared body. Attention maps are copied out of the tape only when
+    /// the caller passes somewhere to put them: a training step or a masked
+    /// batch would throw an `N x N` clone per head per layer away.
     fn forward_inner(
         &self,
         tape: &Tape,
         x: &Tensor,
         mask: Option<&Tensor>,
-    ) -> (Tensor, Vec<Matrix>) {
+        mut maps: Option<&mut Vec<Matrix>>,
+    ) -> Tensor {
         assert_eq!(x.cols(), self.dim, "input width mismatch");
         let n = x.rows();
         if let Some(m) = mask {
@@ -79,7 +85,6 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dh as f32).sqrt();
 
         let mut head_outputs = Vec::with_capacity(self.heads);
-        let mut head_attn = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let (lo, hi) = (h * dh, (h + 1) * dh);
             let qh = q.slice_cols(lo, hi);
@@ -94,18 +99,26 @@ impl MultiHeadAttention {
                 scores = scores.add(m);
             }
             let probs = scores.softmax_rows();
-            head_attn.push(probs.value());
+            if let Some(maps) = maps.as_deref_mut() {
+                maps.push(probs.value());
+            }
             let probs = probs.dropout(self.attn_dropout);
             head_outputs.push(probs.matmul(&vh)); // N x dh
         }
         let concat = Tensor::concat_cols(&head_outputs);
         debug_assert_eq!(concat.shape(), (n, self.dim));
-        (self.wo.forward(tape, &concat), head_attn)
+        self.wo.forward(tape, &concat)
     }
 
     /// Self-attention output only.
     pub fn forward(&self, tape: &Tape, x: &Tensor) -> Tensor {
-        self.forward_with_attn(tape, x).0
+        self.forward_inner(tape, x, None, None)
+    }
+
+    /// The query, key, value and output projections, in that order — what a
+    /// tape-free forward needs to pack this layer's weights.
+    pub fn projections(&self) -> [&Linear; 4] {
+        [&self.wq, &self.wk, &self.wv, &self.wo]
     }
 
     /// Number of attention heads.

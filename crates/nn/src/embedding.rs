@@ -103,6 +103,11 @@ impl PositionEmbedding {
         self.inner.forward(tape, ids)
     }
 
+    /// A copy of the whole `max_len x dim` table (inference helper).
+    pub fn snapshot(&self) -> Matrix {
+        self.inner.snapshot()
+    }
+
     /// Maximum supported sequence length.
     pub fn max_len(&self) -> usize {
         self.inner.vocab()

@@ -25,4 +25,4 @@ pub use attention::MultiHeadAttention;
 pub use embedding::{Embedding, PositionEmbedding};
 pub use gru::Gru;
 pub use linear::Linear;
-pub use transformer::{TransformerEncoder, TransformerLayer};
+pub use transformer::{TransformerEncoder, TransformerLayer, LAYER_NORM_EPS};

@@ -13,6 +13,9 @@ use rand::Rng;
 use crate::attention::MultiHeadAttention;
 use crate::linear::Linear;
 
+/// The variance floor both layer norms of a [`TransformerLayer`] use.
+pub const LAYER_NORM_EPS: f32 = 1e-5;
+
 /// One post-norm Transformer encoder layer.
 pub struct TransformerLayer {
     attn: MultiHeadAttention,
@@ -49,6 +52,12 @@ impl TransformerLayer {
         }
     }
 
+    /// Applies the layer.
+    pub fn forward(&self, tape: &Tape, x: &Tensor) -> Tensor {
+        let attn_out = self.attn.forward(tape, x);
+        self.post_attention(tape, x, &attn_out)
+    }
+
     /// Applies the layer; also returns the per-head attention matrices.
     pub fn forward_with_attn(&self, tape: &Tape, x: &Tensor) -> (Tensor, Vec<Matrix>) {
         let (attn_out, attn_w) = self.attn.forward_with_attn(tape, x);
@@ -68,14 +77,29 @@ impl TransformerLayer {
         let a = x.add(&attn_out.dropout(self.dropout)).layer_norm(
             &tape.param(&self.norm1_gamma),
             &tape.param(&self.norm1_beta),
-            1e-5,
+            LAYER_NORM_EPS,
         );
         let ffn = self.ff2.forward(tape, &self.ff1.forward(tape, &a).gelu());
         a.add(&ffn.dropout(self.dropout)).layer_norm(
             &tape.param(&self.norm2_gamma),
             &tape.param(&self.norm2_beta),
-            1e-5,
+            LAYER_NORM_EPS,
         )
+    }
+
+    /// The attention block.
+    pub fn attention(&self) -> &MultiHeadAttention {
+        &self.attn
+    }
+
+    /// The feed-forward block's expansion and contraction layers.
+    pub fn feed_forward(&self) -> (&Linear, &Linear) {
+        (&self.ff1, &self.ff2)
+    }
+
+    /// `(gamma, beta)` of the post-attention and post-FFN layer norms.
+    pub fn norms(&self) -> [(&Param, &Param); 2] {
+        [(&self.norm1_gamma, &self.norm1_beta), (&self.norm2_gamma, &self.norm2_beta)]
     }
 }
 
@@ -103,7 +127,8 @@ impl TransformerEncoder {
 
     /// Encodes an `N x dim` sequence.
     pub fn forward(&self, tape: &Tape, x: &Tensor) -> Tensor {
-        self.forward_with_attn(tape, x).0
+        assert_eq!(x.cols(), self.dim, "input width mismatch");
+        self.layers.iter().fold(x.clone(), |h, layer| layer.forward(tape, &h))
     }
 
     /// Encodes and returns attention matrices per layer, per head
@@ -132,6 +157,11 @@ impl TransformerEncoder {
             h = layer.forward_masked(tape, &h, mask);
         }
         h
+    }
+
+    /// The stacked layers, first to last.
+    pub fn layers(&self) -> &[TransformerLayer] {
+        &self.layers
     }
 
     /// Number of stacked layers.

@@ -35,13 +35,13 @@
 //!
 //! ## Sparse fallback
 //!
-//! Batched scoring stacks per-sequence attention under a block-diagonal
-//! mask, so the `probs · V` product has an `A` operand that is mostly exact
-//! zeros (`exp(-inf)`). A packed kernel would happily multiply all of them;
-//! the old naive kernel's zero-skip was the only thing keeping stacked
-//! drains cheap. [`gemm`] therefore counts zeros in `A` (NN variant only,
-//! one cheap scan) and routes ≥50%-zero operands to a row-parallel
-//! zero-skipping kernel with the same fused accumulation order.
+//! A forward that stacks sequences under a block-diagonal attention mask
+//! (`TransformerEncoder::forward_masked`; serving attends per sequence
+//! through [`gemm_serial`] instead) has a `probs · V` product whose `A`
+//! operand is mostly exact zeros (`exp(-inf)`). A packed kernel would
+//! happily multiply all of them, so [`gemm`] counts zeros in `A` (NN
+//! variant only, one cheap scan) and routes ≥50%-zero operands to a
+//! row-parallel zero-skipping kernel with the same fused accumulation order.
 //!
 //! ## Shape-aware parallel threshold
 //!
@@ -254,20 +254,13 @@ pub fn gemm(variant: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
             return;
         }
     }
+    let (lda, ldb) = dense_strides(variant, m, k, n);
     let plan = gemm_plan(m, k, n);
     match plan {
-        Plan::Serial => PACK_SHARED.with(|shared| {
-            let mut bbuf = shared.borrow_mut();
-            pack_b(variant, k, n, b, 0, n, &mut bbuf);
-            PACK_PRIVATE.with(|private| {
-                let mut abuf = private.borrow_mut();
-                pack_a(variant, m, k, a, 0, m, &mut abuf);
-                drive_dispatch(k, n, &abuf, &bbuf, out.as_mut_ptr() as usize, 0, m, 0, n);
-            });
-        }),
+        Plan::Serial => gemm_serial(variant, m, k, n, a, lda, b, ldb, out, n),
         Plan::Rows => PACK_SHARED.with(|shared| {
             let mut bbuf = shared.borrow_mut();
-            pack_b(variant, k, n, b, 0, n, &mut bbuf);
+            pack_b(variant, k, ldb, b, 0, n, &mut bbuf);
             let bref: &[f32] = &bbuf;
             let out_base = out.as_mut_ptr() as usize;
             let row_units = m.div_ceil(MR);
@@ -279,7 +272,7 @@ pub fn gemm(variant: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
                 let rows = (phi * MR).min(m) - i0;
                 PACK_PRIVATE.with(|private| {
                     let mut abuf = private.borrow_mut();
-                    pack_a(variant, m, k, a, i0, rows, &mut abuf);
+                    pack_a(variant, k, lda, a, i0, rows, &mut abuf);
                     // SAFETY: chunks own disjoint row ranges of `out`;
                     // every element is written by exactly one thread (same
                     // argument as split_at_mut).
@@ -289,7 +282,7 @@ pub fn gemm(variant: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
         }),
         Plan::Cols => PACK_SHARED.with(|shared| {
             let mut abuf = shared.borrow_mut();
-            pack_a(variant, m, k, a, 0, m, &mut abuf);
+            pack_a(variant, k, lda, a, 0, m, &mut abuf);
             let aref: &[f32] = &abuf;
             let out_base = out.as_mut_ptr() as usize;
             let col_units = n.div_ceil(NR);
@@ -298,7 +291,7 @@ pub fn gemm(variant: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
                 let cols = (phi * NR).min(n) - j0;
                 PACK_PRIVATE.with(|private| {
                     let mut bbuf = private.borrow_mut();
-                    pack_b(variant, k, n, b, j0, cols, &mut bbuf);
+                    pack_b(variant, k, ldb, b, j0, cols, &mut bbuf);
                     // SAFETY: chunks own disjoint column ranges of `out`
                     // (interleaved in memory but element-disjoint).
                     drive_dispatch(k, n, aref, &bbuf, out_base, 0, m, j0, cols);
@@ -308,10 +301,136 @@ pub fn gemm(variant: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
     }
 }
 
+/// Row strides of densely stored operands: `(lda, ldb)` for a variant.
+fn dense_strides(v: Variant, m: usize, k: usize, n: usize) -> (usize, usize) {
+    match v {
+        Variant::NN => (k, n),
+        Variant::TN => (m, n),
+        Variant::NT => (k, k),
+    }
+}
+
+/// Elements a strided `rows x cols` view with row stride `ld` spans.
+fn view_len(rows: usize, cols: usize, ld: usize) -> usize {
+    assert!(ld >= cols, "gemm: row stride {ld} is narrower than {cols} columns");
+    if rows == 0 {
+        0
+    } else {
+        (rows - 1) * ld + cols
+    }
+}
+
+/// [`gemm`] for strided views, entirely on the calling thread: operands and
+/// output are windows into wider row-major buffers (`lda`/`ldb`/`ldc` are
+/// their row strides), nothing is dispatched to the pool and the sparse
+/// router is skipped. Same packing, same micro-kernel, so every output
+/// element carries the bits [`gemm`] would give it. This is the entry the
+/// serving forward uses: shards are serving's parallel axis, and a
+/// per-sequence attention block is far below any fork/join break-even.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_serial(
+    variant: Variant,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    let (a_need, b_need) = match variant {
+        Variant::NN => (view_len(m, k, lda), view_len(k, n, ldb)),
+        Variant::TN => (view_len(k, m, lda), view_len(k, n, ldb)),
+        Variant::NT => (view_len(m, k, lda), view_len(n, k, ldb)),
+    };
+    assert!(a.len() >= a_need, "gemm_serial {variant:?}: A view too short for {m}x{k}x{n}");
+    assert!(b.len() >= b_need, "gemm_serial {variant:?}: B view too short for {m}x{k}x{n}");
+    PACK_SHARED.with(|shared| {
+        let mut bbuf = shared.borrow_mut();
+        pack_b(variant, k, ldb, b, 0, n, &mut bbuf);
+        drive_packed_b(variant, m, k, n, a, lda, &bbuf, out, ldc);
+    });
+}
+
+/// A `k x n` right-hand operand already in the micro-kernel's k-major `NR`
+/// panels. Weights change once per model version, not once per request, so
+/// the serving forward packs them when the version is installed and
+/// [`gemm_packed`] skips the per-call `B` pack.
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs a dense row-major `k x n` matrix.
+    pub fn pack(k: usize, n: usize, b: &[f32]) -> Self {
+        assert_eq!(b.len(), k * n, "PackedB::pack: data length does not match {k}x{n}");
+        let mut panels = Vec::new();
+        pack_b(Variant::NN, k, n, b, 0, n, &mut panels);
+        PackedB { k, n, panels }
+    }
+
+    /// Contraction length (rows of the packed matrix).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output width (columns of the packed matrix).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+}
+
+/// `C = A·B` against a pre-packed `B`, on the calling thread: `a` is an
+/// `m x b.k()` view with row stride `lda`, `out` an `m x b.n()` view with
+/// row stride `ldc`. Bit-identical to [`gemm`] on the unpacked operands.
+pub fn gemm_packed(m: usize, a: &[f32], lda: usize, b: &PackedB, out: &mut [f32], ldc: usize) {
+    assert!(a.len() >= view_len(m, b.k, lda), "gemm_packed: A view too short");
+    drive_packed_b(Variant::NN, m, b.k, b.n, a, lda, &b.panels, out, ldc);
+}
+
+/// Packs `A` into this thread's scratch and runs the micro-kernel grid over
+/// an already packed `B`.
+#[allow(clippy::too_many_arguments)]
+fn drive_packed_b(
+    variant: Variant,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    lda: usize,
+    bpack: &[f32],
+    out: &mut [f32],
+    ldc: usize,
+) {
+    // The micro-kernel stores through a raw pointer; this is the check that
+    // keeps every store inside `out`.
+    assert!(out.len() >= view_len(m, n, ldc), "gemm: C view too short for {m}x{n}");
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        for row in 0..m {
+            out[row * ldc..row * ldc + n].fill(0.0);
+        }
+        return;
+    }
+    PACK_PRIVATE.with(|private| {
+        let mut abuf = private.borrow_mut();
+        pack_a(variant, k, lda, a, 0, m, &mut abuf);
+        drive_dispatch(k, ldc, &abuf, bpack, out.as_mut_ptr() as usize, 0, m, 0, n);
+    });
+}
+
 /// Packs logical rows `[i0, i0+rows)` of `A` into k-major `MR`-row
 /// micro-panels: `buf[(panel*k + p)*MR + r] = A[i0 + panel*MR + r, p]`,
-/// zero-padding the tail panel's missing rows.
-fn pack_a(v: Variant, m: usize, k: usize, a: &[f32], i0: usize, rows: usize, buf: &mut Vec<f32>) {
+/// zero-padding the tail panel's missing rows. `lda` is the distance
+/// between stored rows of `a` (`k` or `m` when dense, larger for a view
+/// into a wider buffer).
+fn pack_a(v: Variant, k: usize, lda: usize, a: &[f32], i0: usize, rows: usize, buf: &mut Vec<f32>) {
     let panels = rows.div_ceil(MR);
     buf.resize(panels * k * MR, 0.0);
     match v {
@@ -321,7 +440,7 @@ fn pack_a(v: Variant, m: usize, k: usize, a: &[f32], i0: usize, rows: usize, buf
                 let dst = &mut buf[ip * k * MR..(ip + 1) * k * MR];
                 let live = (rows - ip * MR).min(MR);
                 for r in 0..live {
-                    let src = &a[(i0 + ip * MR + r) * k..(i0 + ip * MR + r) * k + k];
+                    let src = &a[(i0 + ip * MR + r) * lda..(i0 + ip * MR + r) * lda + k];
                     for (p, &v) in src.iter().enumerate() {
                         dst[p * MR + r] = v;
                     }
@@ -339,7 +458,7 @@ fn pack_a(v: Variant, m: usize, k: usize, a: &[f32], i0: usize, rows: usize, buf
                 let dst = &mut buf[ip * k * MR..(ip + 1) * k * MR];
                 let live = (rows - ip * MR).min(MR);
                 for p in 0..k {
-                    let src = &a[p * m + i0 + ip * MR..p * m + i0 + ip * MR + live];
+                    let src = &a[p * lda + i0 + ip * MR..p * lda + i0 + ip * MR + live];
                     dst[p * MR..p * MR + live].copy_from_slice(src);
                     if live < MR {
                         dst[p * MR + live..(p + 1) * MR].fill(0.0);
@@ -352,8 +471,9 @@ fn pack_a(v: Variant, m: usize, k: usize, a: &[f32], i0: usize, rows: usize, buf
 
 /// Packs logical columns `[j0, j0+cols)` of `B` into k-major `NR`-column
 /// micro-panels: `buf[(panel*k + p)*NR + c] = B[p, j0 + panel*NR + c]`,
-/// zero-padding the tail panel's missing columns.
-fn pack_b(v: Variant, k: usize, n: usize, b: &[f32], j0: usize, cols: usize, buf: &mut Vec<f32>) {
+/// zero-padding the tail panel's missing columns. `ldb` is the distance
+/// between stored rows of `b` (`n` or `k` when dense).
+fn pack_b(v: Variant, k: usize, ldb: usize, b: &[f32], j0: usize, cols: usize, buf: &mut Vec<f32>) {
     let panels = cols.div_ceil(NR);
     buf.resize(panels * k * NR, 0.0);
     match v {
@@ -363,7 +483,7 @@ fn pack_b(v: Variant, k: usize, n: usize, b: &[f32], j0: usize, cols: usize, buf
                 let dst = &mut buf[jp * k * NR..(jp + 1) * k * NR];
                 let live = (cols - jp * NR).min(NR);
                 for p in 0..k {
-                    let src = &b[p * n + j0 + jp * NR..p * n + j0 + jp * NR + live];
+                    let src = &b[p * ldb + j0 + jp * NR..p * ldb + j0 + jp * NR + live];
                     dst[p * NR..p * NR + live].copy_from_slice(src);
                     if live < NR {
                         dst[p * NR + live..(p + 1) * NR].fill(0.0);
@@ -377,7 +497,7 @@ fn pack_b(v: Variant, k: usize, n: usize, b: &[f32], j0: usize, cols: usize, buf
                 let dst = &mut buf[jp * k * NR..(jp + 1) * k * NR];
                 let live = (cols - jp * NR).min(NR);
                 for c in 0..live {
-                    let src = &b[(j0 + jp * NR + c) * k..(j0 + jp * NR + c) * k + k];
+                    let src = &b[(j0 + jp * NR + c) * ldb..(j0 + jp * NR + c) * ldb + k];
                     for (p, &v) in src.iter().enumerate() {
                         dst[p * NR + c] = v;
                     }
@@ -399,7 +519,7 @@ fn pack_b(v: Variant, k: usize, n: usize, b: &[f32], j0: usize, cols: usize, buf
 #[allow(clippy::too_many_arguments)]
 fn drive_dispatch(
     k: usize,
-    n: usize,
+    ldc: usize,
     apack: &[f32],
     bpack: &[f32],
     out_base: usize,
@@ -411,10 +531,10 @@ fn drive_dispatch(
     #[cfg(target_arch = "x86_64")]
     if fma_enabled() {
         // SAFETY: fma_enabled() verified avx2+fma at runtime.
-        unsafe { drive_avx2(k, n, apack, bpack, out_base, i0, rows, j0, cols) };
+        unsafe { drive_avx2(k, ldc, apack, bpack, out_base, i0, rows, j0, cols) };
         return;
     }
-    drive_impl::<false>(k, n, apack, bpack, out_base, i0, rows, j0, cols);
+    drive_impl::<false>(k, ldc, apack, bpack, out_base, i0, rows, j0, cols);
 }
 
 /// AVX2+FMA instantiation of the engine: same source, `mul_add` lowers to
@@ -424,7 +544,7 @@ fn drive_dispatch(
 #[allow(clippy::too_many_arguments)]
 unsafe fn drive_avx2(
     k: usize,
-    n: usize,
+    ldc: usize,
     apack: &[f32],
     bpack: &[f32],
     out_base: usize,
@@ -433,7 +553,7 @@ unsafe fn drive_avx2(
     j0: usize,
     cols: usize,
 ) {
-    drive_impl::<true>(k, n, apack, bpack, out_base, i0, rows, j0, cols);
+    drive_impl::<true>(k, ldc, apack, bpack, out_base, i0, rows, j0, cols);
 }
 
 /// The shared engine body: walk every (row panel, column panel) pair and
@@ -442,7 +562,7 @@ unsafe fn drive_avx2(
 #[allow(clippy::too_many_arguments)]
 fn drive_impl<const FMA: bool>(
     k: usize,
-    n: usize,
+    ldc: usize,
     apack: &[f32],
     bpack: &[f32],
     out_base: usize,
@@ -461,10 +581,10 @@ fn drive_impl<const FMA: bool>(
             let live_c = (cols - jp * NR).min(NR);
             let bp = &bpack[jp * k * NR..(jp + 1) * k * NR];
             // SAFETY: the tile's rows/cols lie inside this chunk's disjoint
-            // region of the m x n output.
+            // region of the output (row stride `ldc`).
             unsafe {
-                let ctile = out.add((i0 + ip * MR) * n + j0 + jp * NR);
-                micro_tile::<FMA>(k, ap, bp, ctile, n, live_r, live_c);
+                let ctile = out.add((i0 + ip * MR) * ldc + j0 + jp * NR);
+                micro_tile::<FMA>(k, ap, bp, ctile, ldc, live_r, live_c);
             }
         }
     }
@@ -477,14 +597,14 @@ fn drive_impl<const FMA: bool>(
 ///
 /// # Safety
 /// `cptr` must point at element `(0, 0)` of a tile whose `rows x cols`
-/// live region lies inside the output buffer with row stride `n`.
+/// live region lies inside the output buffer with row stride `ldc`.
 #[inline(always)]
 unsafe fn micro_tile<const FMA: bool>(
     k: usize,
     ap: &[f32],
     bp: &[f32],
     cptr: *mut f32,
-    n: usize,
+    ldc: usize,
     rows: usize,
     cols: usize,
 ) {
@@ -502,13 +622,13 @@ unsafe fn micro_tile<const FMA: bool>(
     if rows == MR && cols == NR {
         for (r, arow) in acc.iter().enumerate() {
             // SAFETY: full tile lies in-bounds per the caller contract.
-            unsafe { std::ptr::copy_nonoverlapping(arow.as_ptr(), cptr.add(r * n), NR) };
+            unsafe { std::ptr::copy_nonoverlapping(arow.as_ptr(), cptr.add(r * ldc), NR) };
         }
     } else {
         for (r, arow) in acc.iter().enumerate().take(rows) {
             for (c, &v) in arow.iter().enumerate().take(cols) {
                 // SAFETY: r < rows, c < cols, in-bounds per caller contract.
-                unsafe { *cptr.add(r * n + c) = v };
+                unsafe { *cptr.add(r * ldc + c) = v };
             }
         }
     }
@@ -673,13 +793,59 @@ mod tests {
             pack_b(Variant::NN, k, n, &b, 0, n, &mut bbuf);
             PACK_PRIVATE.with(|private| {
                 let mut abuf = private.borrow_mut();
-                pack_a(Variant::NN, m, k, &a, 0, m, &mut abuf);
+                pack_a(Variant::NN, k, k, &a, 0, m, &mut abuf);
                 drive_dispatch(k, n, &abuf, &bbuf, packed.as_mut_ptr() as usize, 0, m, 0, n);
             });
         });
         let rb: Vec<u32> = routed.iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u32> = packed.iter().map(|v| v.to_bits()).collect();
         assert_eq!(rb, pb, "sparse and packed paths must agree bitwise");
+    }
+
+    #[test]
+    fn strided_and_prepacked_entries_match_gemm_bitwise() {
+        // Windows into wider buffers (the serving forward's fused-QKV and
+        // head-concat layouts) against `gemm` on dense copies.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for &(m, k, n) in &[(1, 16, 1), (5, 16, 5), (16, 16, 16), (17, 64, 192), (9, 3, 20)] {
+            let (lda, ldb, ldc) = (k + 7, n.max(k) + 5, n + 3);
+            let a_wide = fill(m * lda, 0xA ^ (m * 7 + k) as u64);
+            let a: Vec<f32> = (0..m).flat_map(|i| a_wide[i * lda..i * lda + k].to_vec()).collect();
+            for v in [Variant::NN, Variant::NT] {
+                let (b_rows, b_cols) = if v == Variant::NN { (k, n) } else { (n, k) };
+                let b_wide = fill(b_rows * ldb, 0xB ^ (n * 5 + k) as u64);
+                let b: Vec<f32> =
+                    (0..b_rows).flat_map(|i| b_wide[i * ldb..i * ldb + b_cols].to_vec()).collect();
+                let mut want = vec![0.0f32; m * n];
+                gemm(v, m, k, n, &a, &b, &mut want);
+
+                let mut got = vec![f32::NAN; m * ldc];
+                gemm_serial(v, m, k, n, &a_wide, lda, &b_wide, ldb, &mut got, ldc);
+                for i in 0..m {
+                    assert_eq!(bits(&got[i * ldc..i * ldc + n]), bits(&want[i * n..(i + 1) * n]));
+                    assert!(got[i * ldc + n..(i + 1) * ldc].iter().all(|x| x.is_nan()), "gap");
+                }
+                if v == Variant::NN {
+                    let packed = PackedB::pack(k, n, &b);
+                    assert_eq!((packed.k(), packed.n()), (k, n));
+                    let mut got = vec![f32::NAN; m * ldc];
+                    gemm_packed(m, &a_wide, lda, &packed, &mut got, ldc);
+                    for i in 0..m {
+                        assert_eq!(
+                            bits(&got[i * ldc..i * ldc + n]),
+                            bits(&want[i * n..(i + 1) * n])
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "C view too short")]
+    fn strided_output_must_hold_every_row() {
+        let mut out = vec![0.0f32; 2 * 4 - 1];
+        gemm_serial(Variant::NN, 2, 3, 4, &[0.0; 6], 3, &[0.0; 12], 4, &mut out, 4);
     }
 
     #[test]

@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+mod gelu;
 mod io;
 mod matrix;
 mod ops;
@@ -57,12 +58,13 @@ pub mod gradcheck;
 pub mod kernel;
 pub mod pool;
 
+pub use gelu::gelu_in_place;
 pub use io::{read_matrix, write_matrix, Snapshot};
 pub use kernel::{
-    fma_enabled, gemm, gemm_par_threshold, gemm_plan, naive_gemm, set_gemm_axis, ParAxis, Plan,
-    Variant,
+    fma_enabled, gemm, gemm_packed, gemm_par_threshold, gemm_plan, gemm_serial, naive_gemm,
+    set_gemm_axis, PackedB, ParAxis, Plan, Variant,
 };
-pub use matrix::{dot, softmax_in_place, Matrix};
+pub use matrix::{dot, row_mean_inv_std, softmax_in_place, Matrix};
 pub use param::{Param, ParamSet};
 pub use pool::{
     hardware_threads, par_rows, par_rows_mut, par_threshold, par_tiles, pool_dispatch_stats,

@@ -477,6 +477,17 @@ pub fn softmax_in_place(row: &mut [f32]) {
     }
 }
 
+/// Mean and `1/√(var + eps)` of one row: layer norm's statistics, reduced
+/// serially in index order. The autograd op and the serving forward both
+/// call this, so their normalised rows agree bit for bit.
+#[inline]
+pub fn row_mean_inv_std(row: &[f32], eps: f32) -> (f32, f32) {
+    let cols = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / cols;
+    let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -459,23 +459,18 @@ impl Tensor {
         )
     }
 
-    /// GELU activation (tanh approximation), used inside Transformer FFNs.
+    /// GELU activation (tanh form), used inside Transformer FFNs. Forward
+    /// and backward both evaluate the gate behind [`crate::gelu_in_place`],
+    /// the same one the serving forward uses.
     pub fn gelu(&self) -> Tensor {
         let a = self.id;
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        let value = self.tape.inner.borrow().values[a]
-            .map(|x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()));
+        let mut value = self.tape.inner.borrow().values[a].clone();
+        crate::gelu::gelu_in_place(value.data_mut());
         self.tape.push(
             value,
             BackwardKind::Op(Box::new(move |g, v, grads| {
                 let mut ga = g.clone();
-                for (o, &x) in ga.data_mut().iter_mut().zip(v[a].data()) {
-                    let u = C * (x + 0.044715 * x * x * x);
-                    let t = u.tanh();
-                    let du = C * (1.0 + 3.0 * 0.044715 * x * x);
-                    let d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
-                    *o *= d;
-                }
+                crate::gelu::gelu_backward_in_place(ga.data_mut(), v[a].data());
                 acc(&mut grads[a], ga);
             })),
         )
@@ -554,10 +549,7 @@ impl Tensor {
                 };
                 for (d, inv_slot) in irows.iter_mut().enumerate() {
                     let row = x.row_slice(lo + d);
-                    let mean = row.iter().sum::<f32>() / cols as f32;
-                    let var =
-                        row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-                    let inv = 1.0 / (var + eps).sqrt();
+                    let (mean, inv) = crate::matrix::row_mean_inv_std(row, eps);
                     *inv_slot = inv;
                     let orow = &mut orows[d * cols..(d + 1) * cols];
                     let hrow = &mut hrows[d * cols..(d + 1) * cols];
