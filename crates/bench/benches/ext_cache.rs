@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use intellitag_baselines::Popularity;
 use intellitag_bench::Experiment;
-use intellitag_core::ModelServer;
+use intellitag_core::{ModelServer, TagService};
 use intellitag_datagen::World;
 use rand::distributions::WeightedIndex;
 use rand::prelude::*;

@@ -20,6 +20,7 @@ use intellitag_bench::{
 };
 use intellitag_core::{
     simulate_online, IntelliTag, ModelServer, ShardConfig, ShardedServer, SimConfig, SimOutcome,
+    TagService,
 };
 use intellitag_datagen::{UserModel, World};
 use intellitag_obs::MetricsRegistry;
@@ -105,7 +106,7 @@ fn bench(c: &mut Criterion) {
             (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect();
         let counts = world.click_frequency();
         ShardedServer::spawn(
-            ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256, ..Default::default() },
+            ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256 },
             front_registry.clone(),
             move |_shard| {
                 ModelServer::new(

@@ -114,192 +114,6 @@ where
     }
 }
 
-/// A small bounded LRU map with hit/miss accounting, used by the model
-/// server's cross-drain score-row cache. Unlike [`ResponseCache`], recency
-/// matters here: hot tenants repeat the same short click prefixes across
-/// consecutive micro-batch drains, and evicting the oldest *insertion*
-/// would throw away exactly those rows.
-///
-/// Recency is an intrusive doubly-linked list threaded through a slot
-/// arena (`nodes` + free list), with the hash map storing slot indices:
-/// `get` unlinks and re-links the touched slot at the head and eviction
-/// pops the tail, so every operation is O(1) — no recency-tick scan, which
-/// matters now that the governor can grow serving load while the LRU sits
-/// on the batched scoring path.
-pub struct LruCache<K, V> {
-    inner: Mutex<LruInner<K, V>>,
-    capacity: usize,
-}
-
-/// Sentinel slot index for "no neighbour".
-const NIL: usize = usize::MAX;
-
-struct LruNode<K, V> {
-    key: K,
-    value: V,
-    prev: usize,
-    next: usize,
-}
-
-struct LruInner<K, V> {
-    /// Key -> slot index in `nodes`.
-    map: HashMap<K, usize>,
-    /// Slot arena; freed slots are recycled via `free`.
-    nodes: Vec<LruNode<K, V>>,
-    free: Vec<usize>,
-    /// Most-recently-used slot (NIL when empty).
-    head: usize,
-    /// Least-recently-used slot (NIL when empty) — the eviction end.
-    tail: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl<K, V> LruInner<K, V> {
-    /// Detaches `slot` from the recency list (it must be linked).
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n].prev = prev,
-        }
-    }
-
-    /// Links `slot` at the head (most recently used).
-    fn link_front(&mut self, slot: usize) {
-        self.nodes[slot].prev = NIL;
-        self.nodes[slot].next = self.head;
-        match self.head {
-            NIL => self.tail = slot,
-            h => self.nodes[h].prev = slot,
-        }
-        self.head = slot;
-    }
-
-    /// Moves an already-linked `slot` to the head.
-    fn touch(&mut self, slot: usize) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.link_front(slot);
-        }
-    }
-}
-
-impl<K, V> LruCache<K, V>
-where
-    K: std::hash::Hash + Eq + Clone,
-    V: Clone,
-{
-    /// Creates a cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        LruCache {
-            inner: Mutex::new(LruInner {
-                map: HashMap::with_capacity(capacity),
-                nodes: Vec::with_capacity(capacity),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-                hits: 0,
-                misses: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// Looks up a key, refreshing its recency and counting the hit or miss.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key).copied() {
-            Some(slot) => {
-                inner.touch(slot);
-                inner.hits += 1;
-                Some(inner.nodes[slot].value.clone())
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a value, evicting the least-recently-used entry when full.
-    /// Re-inserting an existing key refreshes both value and recency.
-    pub fn put(&self, key: K, value: V) {
-        let mut inner = self.inner.lock();
-        if let Some(slot) = inner.map.get(&key).copied() {
-            inner.nodes[slot].value = value;
-            inner.touch(slot);
-            return;
-        }
-        if inner.map.len() >= self.capacity {
-            let lru = inner.tail;
-            debug_assert_ne!(lru, NIL, "full cache must have a tail");
-            inner.unlink(lru);
-            let old_key = inner.nodes[lru].key.clone();
-            inner.map.remove(&old_key);
-            inner.free.push(lru);
-        }
-        let slot = match inner.free.pop() {
-            Some(slot) => {
-                inner.nodes[slot] = LruNode { key: key.clone(), value, prev: NIL, next: NIL };
-                slot
-            }
-            None => {
-                inner.nodes.push(LruNode { key: key.clone(), value, prev: NIL, next: NIL });
-                inner.nodes.len() - 1
-            }
-        };
-        inner.map.insert(key, slot);
-        inner.link_front(slot);
-    }
-
-    /// Current number of cached entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// True when the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Hit rate in `[0, 1]`; 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = self.stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
-    /// Drops every entry (e.g. after a T+1 model refresh) and resets stats.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.nodes.clear();
-        inner.free.clear();
-        inner.head = NIL;
-        inner.tail = NIL;
-        inner.hits = 0;
-        inner.misses = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,49 +172,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: ResponseCache<u32, u32> = ResponseCache::new(0);
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used_not_oldest() {
-        let c: LruCache<u32, u32> = LruCache::new(2);
-        c.put(1, 10);
-        c.put(2, 20);
-        let _ = c.get(&1); // 1 is now more recent than 2
-        c.put(3, 30); // evicts 2, not 1
-        assert_eq!(c.get(&1), Some(10));
-        assert!(c.get(&2).is_none());
-        assert_eq!(c.get(&3), Some(30));
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn lru_reinsert_refreshes_value_and_recency() {
-        let c: LruCache<u32, u32> = LruCache::new(2);
-        c.put(1, 10);
-        c.put(2, 20);
-        c.put(1, 11); // refresh, no growth, 1 now most recent
-        assert_eq!(c.len(), 2);
-        c.put(3, 30); // evicts 2
-        assert_eq!(c.get(&1), Some(11));
-        assert!(c.get(&2).is_none());
-    }
-
-    #[test]
-    fn lru_stats_and_clear() {
-        let c: LruCache<u32, u32> = LruCache::new(4);
-        c.put(1, 1);
-        let _ = c.get(&1); // hit
-        let _ = c.get(&2); // miss
-        assert_eq!(c.stats(), (1, 1));
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), (0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn lru_zero_capacity_rejected() {
-        let _: LruCache<u32, u32> = LruCache::new(0);
     }
 }

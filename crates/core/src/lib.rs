@@ -23,8 +23,9 @@
 //!   worker installs them at a drain boundary, so no drain mixes model
 //!   versions and serving never pauses (pinned by
 //!   `tests/hot_swap_parity.rs`).
-//! * [`TagService`] — the request surface both fronts implement, so the
-//!   simulator, benches and examples swap fronts with one line.
+//! * [`TagService`] — the request surface both fronts implement: one
+//!   [`Request`] type through one `submit`, with blocking calls on top, so
+//!   the simulator, benches and examples swap fronts with one line.
 //! * [`simulate_online`] — A/B traffic buckets measuring CTR (Fig. 7),
 //!   HIR and latency (Table VI) against the simulated user population,
 //!   publishing rolling `online.*` gauges into the shared registry.
@@ -43,7 +44,7 @@ mod serving;
 mod sharded;
 mod simulator;
 
-pub use cache::{LruCache, ResponseCache};
+pub use cache::ResponseCache;
 pub use config::{TagRecConfig, TrainConfig};
 pub use experiment::{evaluate_offline, ProtocolConfig};
 pub use governor::{Decision, Governor, GovernorConfig, GovernorRuntime, KnobBounds, Observation};
@@ -51,10 +52,8 @@ pub use graph_layers::GraphLayers;
 pub use model::IntelliTag;
 pub use qa_matcher::{QaMatcher, QaMatcherConfig};
 pub use serving::{
-    Completion, CompletionQueue, ModelServer, QuestionResponse, Reply, TagClickResponse,
-    TagService, RECENT_LATENCY_WINDOW,
+    Admission, Completion, CompletionQueue, ModelServer, QuestionResponse, Reply, Request,
+    TagClickResponse, TagService, RECENT_LATENCY_WINDOW,
 };
-pub use sharded::{
-    ModelSwap, RoutingPolicy, RuntimeKnobs, ShardConfig, ShardedServer, ShedReason, SwapPayload,
-};
+pub use sharded::{ModelSwap, RuntimeKnobs, ShardConfig, ShardedServer, ShedReason, SwapPayload};
 pub use simulator::{simulate_online, DayMetrics, SimConfig, SimOutcome};

@@ -10,17 +10,18 @@
 //! the paper's §VI latency budget ("respond in under 150 ms", Table VI) is
 //! only actionable when you can see where the time goes.
 
+use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
 use intellitag_baselines::SequenceRecommender;
 use intellitag_obs::{
-    tenant_tier, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SampleRing,
-    SpanTimer, TraceHandle, MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC, SLO_LATENCY_METRIC,
-    SLO_TIER_LABEL,
+    tenant_tier, tier_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    SampleRing, SpanTimer, TraceHandle, MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC,
+    SLO_LATENCY_METRIC, SLO_TIER_LABEL,
 };
 use intellitag_search::{Hit, KbWarehouse};
 
-use crate::cache::{LruCache, ResponseCache};
+use crate::cache::ResponseCache;
 use crate::qa_matcher::QaMatcher;
 use crate::ShedReason;
 
@@ -28,6 +29,52 @@ use crate::ShedReason;
 /// [`ModelServer::latencies_us`]. Aggregate statistics come from the
 /// bounded histograms; the ring only serves debugging and the benches.
 pub const RECENT_LATENCY_WINDOW: usize = 1024;
+
+/// One request to a serving front — the three kinds of §V, each owning its
+/// payload so it can ride a queue to whichever thread serves it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// A typed question (the Q&A dialogue path).
+    Question {
+        /// Tenant (enterprise) the request belongs to.
+        tenant: usize,
+        /// The user's question.
+        text: String,
+    },
+    /// A tag click (the TagRec path).
+    TagClick {
+        /// Tenant (enterprise) the request belongs to.
+        tenant: usize,
+        /// The session's clicked tags, oldest first.
+        clicks: Vec<usize>,
+    },
+    /// A tenant's cold-start tags (most frequently clicked, §V-B).
+    ColdStart {
+        /// Tenant (enterprise) the request belongs to.
+        tenant: usize,
+    },
+}
+
+impl Request {
+    /// The tenant the request belongs to — what a front routes on.
+    pub(crate) fn tenant(&self) -> usize {
+        match *self {
+            Request::Question { tenant, .. }
+            | Request::TagClick { tenant, .. }
+            | Request::ColdStart { tenant } => tenant,
+        }
+    }
+}
+
+/// Whether a front with no room for a request makes its caller wait or
+/// turns it away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Backpressure: wait until the request is accepted.
+    Block,
+    /// Refuse with [`ShedReason::Overloaded`] instead of waiting.
+    Shed,
+}
 
 /// One served reply, whichever request kind asked for it — the single
 /// reply representation every front releases and every caller receives.
@@ -56,7 +103,7 @@ pub struct Completion {
 /// queue its reply goes to, so one thread can keep many requests in flight
 /// against a concurrent front and **block** on the receiving end for
 /// whichever finishes first (the gateway's binary connections hold one
-/// queue per connection; the blocking `handle_*` calls a queue of one).
+/// queue per connection; [`TagService::call`] a queue of one).
 pub type CompletionQueue = mpsc::Sender<Completion>;
 
 /// The reply half riding an accepted request: delivers exactly one
@@ -103,18 +150,28 @@ impl Drop for ReplyTo {
 
 /// The request surface shared by every serving front — the single-process
 /// [`ModelServer`] and the sharded/batched [`crate::ShardedServer`] alike.
-/// The simulator, benches and examples drive traffic through this trait, so
-/// swapping fronts is a one-line change and the parity tests can pin that
-/// both fronts answer identically.
+/// A front implements one request method, [`TagService::submit`]; the
+/// blocking calls are built on it. The simulator, benches and examples
+/// drive traffic through this trait, so swapping fronts is a one-line
+/// change and the parity tests can pin that both fronts answer identically.
 pub trait TagService {
-    /// Handles a typed question (the Q&A dialogue path).
-    fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse;
-
-    /// Handles a tag click (the TagRec path).
-    fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse;
-
-    /// Cold-start tags for a tenant (most frequently clicked, §V-B).
-    fn cold_start_tags(&self, tenant: usize) -> Vec<usize>;
+    /// Submits a request without waiting for the answer: exactly one
+    /// [`Completion`] carrying `token` lands on `queue` when it is served,
+    /// with the front's spans recorded into `trace` on the way. `Err` means
+    /// the front refused it (no room under [`Admission::Shed`] →
+    /// [`ShedReason::Overloaded`], worker gone → [`ShedReason::ShuttingDown`])
+    /// and nothing will arrive. A synchronous front answers inline, so the
+    /// reply is already on the queue on return; a concurrent front enqueues,
+    /// so one caller can keep many requests in flight and block on its queue
+    /// for whichever completes first.
+    fn submit(
+        &self,
+        request: Request,
+        trace: Option<&TraceHandle>,
+        admission: Admission,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason>;
 
     /// The metrics registry this front publishes into.
     fn metrics(&self) -> &MetricsRegistry;
@@ -133,85 +190,45 @@ pub trait TagService {
         0
     }
 
-    /// [`TagService::handle_question`] with request tracing: fronts that
-    /// support per-stage spans record them into `trace`. The default ignores
-    /// the trace and delegates, so existing fronts keep working untraced.
-    fn handle_question_traced(
+    /// One request's round trip: [`TagService::submit`] to a queue of one,
+    /// then wait on it. A request the front dropped unserved is
+    /// `Err(ShuttingDown)`.
+    fn call(
         &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> QuestionResponse {
-        let _ = trace;
-        self.handle_question(tenant, question)
-    }
-
-    /// [`TagService::handle_tag_click`] with request tracing (see
-    /// [`TagService::handle_question_traced`]).
-    fn handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> TagClickResponse {
-        let _ = trace;
-        self.handle_tag_click(tenant, clicks)
-    }
-
-    /// Submits a question without waiting for the answer: exactly one
-    /// [`Completion`] carrying `token` lands on `queue` when it is served.
-    /// `Err` means the front refused the request (queue full →
-    /// [`ShedReason::Overloaded`], worker gone → [`ShedReason::ShuttingDown`])
-    /// and nothing will arrive. The default answers inline (synchronous
-    /// fronts have nowhere to park a request) and the reply is already on
-    /// the queue on return; concurrent fronts enqueue instead, so one caller
-    /// can keep many requests in flight and block on its queue for
-    /// whichever completes first.
-    fn submit_question(
-        &self,
-        tenant: usize,
-        question: &str,
+        request: Request,
         trace: Option<&TraceHandle>,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        let resp = match trace {
-            Some(t) => self.handle_question_traced(tenant, question, t),
-            None => self.handle_question(tenant, question),
-        };
-        let _ = queue.send(Completion { token, reply: Some(Reply::Question(resp)) });
-        Ok(())
+        admission: Admission,
+    ) -> Result<Reply, ShedReason> {
+        let (queue, completions) = mpsc::channel();
+        self.submit(request, trace, admission, &queue, 0)?;
+        completions.recv().ok().and_then(|done| done.reply).ok_or(ShedReason::ShuttingDown)
     }
 
-    /// Submits a tag click without waiting (see
-    /// [`TagService::submit_question`]).
-    fn submit_tag_click(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        let resp = match trace {
-            Some(t) => self.handle_tag_click_traced(tenant, clicks, t),
-            None => self.handle_tag_click(tenant, clicks),
-        };
-        let _ = queue.send(Completion { token, reply: Some(Reply::TagClick(resp)) });
-        Ok(())
+    /// Answers a typed question, blocking under backpressure; a front that
+    /// cannot serve it (shutting down) answers with an empty response.
+    fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
+        let request = Request::Question { tenant, text: question.into() };
+        match self.call(request, None, Admission::Block) {
+            Ok(Reply::Question(resp)) => resp,
+            _ => QuestionResponse::default(),
+        }
     }
 
-    /// Submits a cold-start lookup without waiting (see
-    /// [`TagService::submit_question`]).
-    fn submit_cold_start(
-        &self,
-        tenant: usize,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        let tags = self.cold_start_tags(tenant);
-        let _ = queue.send(Completion { token, reply: Some(Reply::ColdStart(tags)) });
-        Ok(())
+    /// Answers a tag click (see [`TagService::handle_question`]).
+    fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
+        let request = Request::TagClick { tenant, clicks: clicks.to_vec() };
+        match self.call(request, None, Admission::Block) {
+            Ok(Reply::TagClick(resp)) => resp,
+            _ => TagClickResponse::default(),
+        }
+    }
+
+    /// A tenant's cold-start tags (see [`TagService::handle_question`]).
+    fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
+        match self.call(Request::ColdStart { tenant }, None, Admission::Block) {
+            Ok(Reply::ColdStart(tags)) => tags,
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -221,16 +238,15 @@ pub trait TagService {
 /// hand every worker a clone of one fleet instead of building a fleet
 /// per worker.
 impl<S: TagService> TagService for Arc<S> {
-    fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
-        (**self).handle_question(tenant, question)
-    }
-
-    fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
-        (**self).handle_tag_click(tenant, clicks)
-    }
-
-    fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
-        (**self).cold_start_tags(tenant)
+    fn submit(
+        &self,
+        request: Request,
+        trace: Option<&TraceHandle>,
+        admission: Admission,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        (**self).submit(request, trace, admission, queue, token)
     }
 
     fn metrics(&self) -> &MetricsRegistry {
@@ -248,59 +264,10 @@ impl<S: TagService> TagService for Arc<S> {
     fn model_version(&self) -> u64 {
         (**self).model_version()
     }
-
-    fn handle_question_traced(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> QuestionResponse {
-        (**self).handle_question_traced(tenant, question, trace)
-    }
-
-    fn submit_question(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: Option<&TraceHandle>,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        (**self).submit_question(tenant, question, trace, queue, token)
-    }
-
-    fn submit_tag_click(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        (**self).submit_tag_click(tenant, clicks, trace, queue, token)
-    }
-
-    fn submit_cold_start(
-        &self,
-        tenant: usize,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        (**self).submit_cold_start(tenant, queue, token)
-    }
-
-    fn handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> TagClickResponse {
-        (**self).handle_tag_click_traced(tenant, clicks, trace)
-    }
 }
 
 /// Response to a user question (the Q&A dialogue path).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuestionResponse {
     /// Best-matching RQ id, if any cleared recall.
     pub rq: Option<usize>,
@@ -324,7 +291,7 @@ impl QuestionResponse {
 }
 
 /// Response to a tag click (the TagRec path).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TagClickResponse {
     /// Next recommended tags, ranked.
     pub recommended_tags: Vec<usize>,
@@ -343,15 +310,18 @@ impl TagClickResponse {
     }
 }
 
-/// Metric handles bound once at construction so the hot path never touches
-/// the registry's name map (except for the dynamic per-tenant counters).
+/// Metric handles bound once at construction, so the request path never
+/// touches the registry's name map and no request can mint a series.
 struct ServerMetrics {
     registry: MetricsRegistry,
     /// Total requests served by this front, every path included — degraded
     /// and empty responses too (`serving.requests`). Gateways reconcile
     /// their own per-route counts against this.
     requests: Arc<Counter>,
-    /// End-to-end latency across both request kinds (`serving.request_us`).
+    /// Per-tenant request counters (`serving.requests.tenant_{N}`), one per
+    /// known tenant; an out-of-range tenant has none.
+    tenant_requests: Vec<Arc<Counter>>,
+    /// End-to-end latency across every request kind (`serving.request_us`).
     request_latency: Arc<Histogram>,
     /// Q&A path latency (`serving.question_us`).
     question_latency: Arc<Histogram>,
@@ -369,21 +339,12 @@ struct ServerMetrics {
     stage_cache: Arc<Histogram>,
     cache_hit: Arc<Counter>,
     cache_miss: Arc<Counter>,
-    /// Cross-drain score-row LRU accounting
-    /// (`serving.score_lru.{hits,misses}`).
-    score_lru_hit: Arc<Counter>,
-    score_lru_miss: Arc<Counter>,
-    /// Live hit ratio in `[0, 1]` (`serving.score_lru.hit_ratio`) — the
-    /// cache-health gauge the governor and humans read without having to
-    /// divide counters themselves.
-    score_lru_hit_ratio: Arc<Gauge>,
     cold_start: Arc<Counter>,
     err_bad_tenant: Arc<Counter>,
     err_bad_tag: Arc<Counter>,
     err_empty_clicks: Arc<Counter>,
     /// Per-tenant-tier latency series (`slo.latency_us{tenant_tier=..}`),
-    /// indexed by `tenant % 3` to match [`tenant_tier`]. Bound once so the
-    /// hot path never formats a labeled name.
+    /// indexed by [`tier_index`].
     slo_latency: [Arc<Histogram>; 3],
     /// Snapshot version currently installed (`serving.model_version`).
     model_version: Arc<Gauge>,
@@ -392,13 +353,16 @@ struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn bind(registry: MetricsRegistry) -> Self {
+    fn bind(registry: MetricsRegistry, tenants: usize) -> Self {
         // Publish the tensor compute-pool size so scrapes show what the
         // kernels under this server are configured to use (a pure
         // performance knob: pooled kernels are bit-identical to serial).
         registry.gauge("tensor.pool_threads").set(intellitag_tensor::pool_threads() as f64);
         ServerMetrics {
             requests: registry.counter("serving.requests"),
+            tenant_requests: (0..tenants)
+                .map(|t| registry.counter(&format!("serving.requests.tenant_{t}")))
+                .collect(),
             request_latency: registry.histogram("serving.request_us"),
             question_latency: registry.histogram("serving.question_us"),
             click_latency: registry.histogram("serving.tag_click_us"),
@@ -409,9 +373,6 @@ impl ServerMetrics {
             stage_cache: registry.histogram("serving.stage.cache_us"),
             cache_hit: registry.counter("serving.cache.hit"),
             cache_miss: registry.counter("serving.cache.miss"),
-            score_lru_hit: registry.counter("serving.score_lru.hits"),
-            score_lru_miss: registry.counter("serving.score_lru.misses"),
-            score_lru_hit_ratio: registry.gauge("serving.score_lru.hit_ratio"),
             cold_start: registry.counter("serving.cold_start_fallback"),
             err_bad_tenant: registry.counter("serving.error.bad_tenant"),
             err_bad_tag: registry.counter("serving.error.bad_tag"),
@@ -425,31 +386,14 @@ impl ServerMetrics {
         }
     }
 
-    fn tenant_requests(&self, tenant: usize) -> Arc<Counter> {
-        self.registry.counter(&format!("serving.requests.tenant_{tenant}"))
-    }
-
-    /// Ticks one score-LRU lookup and refreshes the hit-ratio gauge from
-    /// the lifetime counters (shared-registry safe: with several replicas
-    /// the gauge converges on the aggregate ratio).
-    fn record_score_lru(&self, hit: bool) {
-        if hit {
-            self.score_lru_hit.inc();
-        } else {
-            self.score_lru_miss.inc();
+    /// Ticks a known tenant's request counter (unknown tenants are counted
+    /// as `serving.error.bad_tenant` where they are rejected).
+    fn tenant_request(&self, tenant: usize) {
+        if let Some(counter) = self.tenant_requests.get(tenant) {
+            counter.inc();
         }
-        let (h, m) = (self.score_lru_hit.get(), self.score_lru_miss.get());
-        self.score_lru_hit_ratio.set(h as f64 / (h + m) as f64);
-    }
-
-    /// The SLO latency series for a tenant's tier.
-    fn slo_latency(&self, tenant: usize) -> &Histogram {
-        &self.slo_latency[tenant % 3]
     }
 }
-
-/// Score rows memoized across drains, keyed by `(tenant, clicks)`.
-type ScoreLru = LruCache<(usize, Vec<usize>), Vec<f32>>;
 
 /// The model server: one recommender + the searchable KB + per-tenant
 /// metadata, fully instrumented through a shared [`MetricsRegistry`].
@@ -479,13 +423,6 @@ pub struct ModelServer<M: SequenceRecommender> {
     /// future-work extension ("cache high-frequency data to decrease system
     /// latency").
     cache: Option<ResponseCache<(usize, Vec<usize>), TagClickResponse>>,
-    /// Optional cross-drain score-row LRU keyed by `(tenant, clicks)`.
-    /// Distinct from the response cache: it memoizes the *model scoring
-    /// stage only* (the score row over the tenant's candidate pool), so a
-    /// hot tenant repeating the same click prefix across consecutive
-    /// micro-batch drains skips the transformer forward while recall and
-    /// rerank still run fresh per request.
-    score_lru: Option<ScoreLru>,
     /// Optional Q&A matching model re-ranking question recall (the deployed
     /// system's RoBERTa matcher, §V-A).
     qa_matcher: Option<QaMatcher>,
@@ -510,14 +447,13 @@ impl<M: SequenceRecommender> ModelServer<M> {
             kb,
             tag_texts,
             rq_tags,
+            obs: ServerMetrics::bind(MetricsRegistry::new(), tenant_tags.len()),
             tenant_tags,
             click_counts,
             tags_per_response: 5,
             questions_per_response: 3,
             recent_latencies: SampleRing::new(RECENT_LATENCY_WINDOW),
-            obs: ServerMetrics::bind(MetricsRegistry::new()),
             cache: None,
-            score_lru: None,
             qa_matcher: None,
         }
     }
@@ -526,7 +462,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// by the training loops and the online simulator). Call before serving
     /// traffic — metrics recorded so far stay in the old registry.
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.obs = ServerMetrics::bind(registry);
+        self.obs = ServerMetrics::bind(registry, self.tenant_tags.len());
         self.obs.model_version.set(self.model_version as f64);
         self
     }
@@ -540,29 +476,20 @@ impl<M: SequenceRecommender> ModelServer<M> {
         self
     }
 
-    /// The version of the snapshot currently serving (0 = unversioned).
-    pub fn model_version(&self) -> u64 {
-        self.model_version
-    }
-
     /// Installs a freshly loaded model at a drain boundary (the epoch-fenced
     /// hot-swap path — [`crate::ShardedServer::spawn_swappable`] calls this
     /// strictly between micro-batch drains).
     ///
-    /// Besides replacing the scoring model, this invalidates both the
-    /// response cache and the cross-drain score-row LRU: their entries embed
-    /// the *old* model's output, and serving them after the swap would
-    /// silently mix versions — exactly the staleness the epoch fence exists
-    /// to rule out. Post-swap responses are therefore byte-identical to a
-    /// server freshly built from the installed snapshot.
+    /// Besides replacing the scoring model, this invalidates the response
+    /// cache: its entries embed the *old* model's output, and serving them
+    /// after the swap would silently mix versions — exactly the staleness
+    /// the epoch fence exists to rule out. Post-swap responses are therefore
+    /// byte-identical to a server freshly built from the installed snapshot.
     pub fn install_model(&mut self, model: M, version: u64) {
         self.model = model;
         self.model_version = version;
         if let Some(cache) = &self.cache {
             cache.clear();
-        }
-        if let Some(lru) = &self.score_lru {
-            lru.clear();
         }
         self.obs.model_version.set(version as f64);
         self.obs.swaps.inc();
@@ -579,21 +506,10 @@ impl<M: SequenceRecommender> ModelServer<M> {
     }
 
     /// Enables the tag-click response cache (§VII future work). Call after
-    /// construction; a model refresh should recreate the server (or the
-    /// cache) since cached responses embed model output.
+    /// construction; [`ModelServer::install_model`] clears it, since cached
+    /// responses embed model output.
     pub fn with_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(ResponseCache::new(capacity));
-        self
-    }
-
-    /// Enables the cross-drain score-row LRU. Scores are a deterministic
-    /// function of `(tenant, clicks)` for a fixed checkpoint, so serving a
-    /// cached row is bit-identical to recomputing it — repeat click
-    /// prefixes from hot tenants skip the model forward entirely. Like the
-    /// response cache, a model refresh must recreate the server (or call
-    /// the LRU's `clear`) since rows embed model output.
-    pub fn with_score_lru(mut self, capacity: usize) -> Self {
-        self.score_lru = Some(LruCache::new(capacity));
         self
     }
 
@@ -602,73 +518,65 @@ impl<M: SequenceRecommender> ModelServer<M> {
         self.cache.as_ref().map(ResponseCache::hit_rate)
     }
 
-    /// `(hits, misses)` of the score-row LRU, if enabled.
-    pub fn score_lru_stats(&self) -> Option<(u64, u64)> {
-        self.score_lru.as_ref().map(LruCache::stats)
-    }
-
     /// The wrapped recommender.
     pub fn model(&self) -> &M {
         &self.model
     }
 
-    /// The server's metrics registry (counters, gauges, stage histograms).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.obs.registry
-    }
-
-    /// Snapshot of the end-to-end request latency histogram (µs) — the
-    /// bounded replacement for aggregating over a raw latency log.
-    pub fn latency_snapshot(&self) -> HistogramSnapshot {
-        self.obs.request_latency.snapshot()
-    }
-
     /// The most recent request latencies (µs), capped at
     /// [`RECENT_LATENCY_WINDOW`] samples. Long-running simulations no
     /// longer grow memory with request count; use
-    /// [`ModelServer::latency_snapshot`] for whole-run statistics.
+    /// [`TagService::latency_snapshot`] for whole-run statistics.
     pub fn latencies_us(&self) -> Vec<u64> {
         self.recent_latencies.snapshot()
     }
 
-    /// Records the end of a request on both the per-path and the combined
-    /// histograms plus the recent-sample ring, and ticks the
-    /// `serving.requests` total; returns the latency in µs. Every public
-    /// handler exit — including degraded and empty responses — funnels
-    /// through here, so the counter reconciles exactly against whatever
-    /// front (gateway, sharded queue) is driving this server.
-    fn finish_request(&self, tenant: usize, timer: SpanTimer, path: &Histogram) -> u64 {
-        self.finish_request_us(tenant, timer.elapsed_us(), path)
+    /// Serves one request — the path every front and every blocking call
+    /// reaches a replica through. A tag click is a drain of one.
+    pub(crate) fn serve(&self, request: Request, trace: Option<&TraceHandle>) -> Reply {
+        match request {
+            Request::Question { tenant, text } => {
+                Reply::Question(self.question(tenant, &text, trace))
+            }
+            Request::TagClick { tenant, clicks } => {
+                let mut one = self.click_drain(&[(tenant, clicks)], &[trace]);
+                Reply::TagClick(one.pop().expect("a drain of one answers once"))
+            }
+            Request::ColdStart { tenant } => Reply::ColdStart(self.cold_start(tenant, trace)),
+        }
     }
 
-    /// [`Self::finish_request`] for callers that already measured the
-    /// latency — the batched click path finishes many requests off one
-    /// shared timer.
-    fn finish_request_us(&self, tenant: usize, us: u64, path: &Histogram) -> u64 {
+    /// Records the end of a request on both the per-path and the combined
+    /// histograms plus the recent-sample ring, and ticks the
+    /// `serving.requests` total; returns the latency in µs. Every request
+    /// exit — including degraded and empty responses — funnels through
+    /// here, so the counter reconciles exactly against whatever front
+    /// (gateway, sharded queue) is driving this server.
+    fn finish_request(&self, tenant: usize, timer: SpanTimer, path: &Histogram) -> u64 {
+        let us = timer.elapsed_us();
         path.record(us);
         self.obs.request_latency.record(us);
-        self.obs.slo_latency(tenant).record(us);
+        self.obs.slo_latency[tier_index(tenant as u64)].record(us);
         self.obs.requests.inc();
         self.recent_latencies.push(us);
         us
     }
 
-    /// Cold-start tags for a tenant: most frequently clicked (§V-B),
-    /// counted as a `serving.cold_start_fallback`. An out-of-range tenant
-    /// degrades to an empty result (plus an error counter) instead of
-    /// panicking. As a top-level request path it ticks `serving.requests`
-    /// and records into `serving.cold_start_us` / `serving.request_us` —
-    /// the in-question fallback uses [`Self::cold_start_inner`] and is
+    /// Cold-start tags for a tenant as a top-level request: the `cold_start`
+    /// stage, accounted in `serving.cold_start_us` / `serving.request_us`.
+    /// The in-question fallback uses [`Self::cold_start_inner`] and is
     /// accounted once, as a question.
-    pub fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
+    fn cold_start(&self, tenant: usize, trace: Option<&TraceHandle>) -> Vec<usize> {
         let timer = SpanTimer::start();
-        self.obs.tenant_requests(tenant).inc();
-        let tags = self.cold_start_inner(tenant);
+        self.obs.tenant_request(tenant);
+        let tags = trace_stage(trace, "cold_start", || self.cold_start_inner(tenant));
         self.finish_request(tenant, timer, &self.obs.cold_start_latency);
         tags
     }
 
-    /// The cold-start lookup without request-level accounting.
+    /// The most frequently clicked tags of a tenant (§V-B), counted as a
+    /// `serving.cold_start_fallback`. An out-of-range tenant degrades to an
+    /// empty result (plus an error counter) instead of panicking.
     fn cold_start_inner(&self, tenant: usize) -> Vec<usize> {
         let Some(pool) = self.tenant_tags.get(tenant) else {
             self.obs.err_bad_tenant.inc();
@@ -691,40 +599,21 @@ impl<M: SequenceRecommender> ModelServer<M> {
         pool
     }
 
-    /// Handles a typed question: recall + best match + `asc` tags. With a
-    /// Q&A matcher attached, the BM25 recall set is re-ranked by match score
+    /// A typed question: recall + best match + `asc` tags. With a Q&A
+    /// matcher attached, the BM25 recall set is re-ranked by match score
     /// (recall-then-rerank, exactly the deployed §V-A pipeline).
-    pub fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
-        self.handle_question_inner(tenant, question, None)
-    }
-
-    /// [`Self::handle_question`] recording per-stage spans into `trace`.
-    pub fn handle_question_traced(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> QuestionResponse {
-        self.handle_question_inner(tenant, question, Some(trace))
-    }
-
-    fn handle_question_inner(
+    fn question(
         &self,
         tenant: usize,
         question: &str,
         trace: Option<&TraceHandle>,
     ) -> QuestionResponse {
         let timer = SpanTimer::start();
-        self.obs.tenant_requests(tenant).inc();
+        self.obs.tenant_request(tenant);
         if tenant >= self.tenant_tags.len() {
             self.obs.err_bad_tenant.inc();
             let latency_us = self.finish_request(tenant, timer, &self.obs.question_latency);
-            return QuestionResponse {
-                rq: None,
-                answer: None,
-                recommended_tags: Vec::new(),
-                latency_us,
-            };
+            return QuestionResponse { latency_us, ..Default::default() };
         }
         let best = match &self.qa_matcher {
             Some(matcher) => {
@@ -773,126 +662,27 @@ impl<M: SequenceRecommender> ModelServer<M> {
         QuestionResponse { rq, answer, recommended_tags, latency_us }
     }
 
-    /// An empty tag-click response for degraded requests (bad tenant, no
-    /// usable clicks) — the serving path never panics on malformed input.
-    fn degraded_click_response(&self, tenant: usize, timer: SpanTimer) -> TagClickResponse {
-        let latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
-        TagClickResponse {
-            recommended_tags: Vec::new(),
-            predicted_questions: Vec::new(),
-            latency_us,
-        }
-    }
-
-    /// Handles a tag click: the model ranks next tags (restricted to the
-    /// tenant's inventory) and the click history becomes an ES query whose
-    /// recall is re-ranked by tag overlap (§V-A).
-    ///
-    /// Malformed requests degrade gracefully: empty click lists, unknown
-    /// tenants and unknown tag ids produce an empty response (and error
-    /// counters) rather than a panic in the hot serving path.
-    pub fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
-        self.handle_tag_click_inner(tenant, clicks, None)
-    }
-
-    /// [`Self::handle_tag_click`] recording per-stage spans into `trace`.
-    pub fn handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> TagClickResponse {
-        self.handle_tag_click_inner(tenant, clicks, Some(trace))
-    }
-
-    fn handle_tag_click_inner(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-    ) -> TagClickResponse {
-        let timer = SpanTimer::start();
-        self.obs.tenant_requests(tenant).inc();
+    /// The usable part of a click trail, or `None` when nothing is left to
+    /// serve — empty clicks, an unknown tenant, only unknown tag ids — so
+    /// malformed requests degrade to an empty response (plus error
+    /// counters) rather than a panic in the hot serving path. Unknown tag
+    /// ids can't be looked up in the tag-text table; they are dropped
+    /// (counted) and the rest served.
+    fn valid_clicks(&self, tenant: usize, clicks: &[usize]) -> Option<Vec<usize>> {
         if clicks.is_empty() {
             self.obs.err_empty_clicks.inc();
-            return self.degraded_click_response(tenant, timer);
+            return None;
         }
         if tenant >= self.tenant_tags.len() {
             self.obs.err_bad_tenant.inc();
-            return self.degraded_click_response(tenant, timer);
+            return None;
         }
-        // Unknown tag ids can't be looked up in the tag-text table; drop
-        // them (counted) and serve from the remaining clicks.
         let valid: Vec<usize> =
             clicks.iter().copied().filter(|&t| t < self.tag_texts.len()).collect();
         if valid.len() < clicks.len() {
             self.obs.err_bad_tag.add((clicks.len() - valid.len()) as u64);
-            if valid.is_empty() {
-                return self.degraded_click_response(tenant, timer);
-            }
         }
-        let clicks = &valid[..];
-
-        if let Some(cache) = &self.cache {
-            let cache_span = self.obs.stage_cache.span();
-            let key = (tenant, clicks.to_vec());
-            let cached = trace_stage(trace, "cache", || cache.get(&key));
-            cache_span.finish();
-            if let Some(mut resp) = cached {
-                self.obs.cache_hit.inc();
-                resp.latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
-                return resp;
-            }
-            self.obs.cache_miss.inc();
-        }
-
-        // One sorted lookup set per request: membership checks drop from
-        // O(clicks) scans per candidate to O(log clicks).
-        let click_set = sorted_click_set(clicks);
-
-        // --- next-tag recommendation (model scoring stage) ----------------
-        let pool = &self.tenant_tags[tenant];
-        let score_span = self.obs.stage_score.span();
-        let scores = trace_stage(trace, "score", || self.scored_row(tenant, clicks, pool));
-        score_span.finish();
-        let recommended_tags = self.recommend_from_scores(&click_set, pool, scores);
-
-        // --- predicted questions (recall stage + overlap rerank stage) ----
-        // Query = concatenated clicked-tag texts (paper: "the user's
-        // successive clicked tags are composed as a query").
-        let query = self.click_query(clicks);
-        let recall_span = self.obs.stage_recall.span();
-        let recall = trace_stage(trace, "recall", || self.kb.recall_for_tenant(&query, tenant, 20));
-        recall_span.finish();
-        let rerank_span = self.obs.stage_rerank.span();
-        let predicted_questions =
-            trace_stage(trace, "rerank", || self.rerank_recall(&click_set, &recall));
-        rerank_span.finish();
-
-        let latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
-        let resp = TagClickResponse { recommended_tags, predicted_questions, latency_us };
-        if let Some(cache) = &self.cache {
-            cache.put((tenant, clicks.to_vec()), resp.clone());
-        }
-        resp
-    }
-
-    /// One score row for `(tenant, clicks)` over the tenant's pool, via the
-    /// score-row LRU when enabled. Scores are deterministic for a fixed
-    /// checkpoint, so a cached row is bit-identical to a fresh forward.
-    fn scored_row(&self, tenant: usize, clicks: &[usize], pool: &[usize]) -> Vec<f32> {
-        let Some(lru) = &self.score_lru else {
-            return self.model.score_candidates(clicks, pool);
-        };
-        let key = (tenant, clicks.to_vec());
-        if let Some(row) = lru.get(&key) {
-            self.obs.record_score_lru(true);
-            return row;
-        }
-        self.obs.record_score_lru(false);
-        let row = self.model.score_candidates(clicks, pool);
-        lru.put(key, row.clone());
-        row
+        (!valid.is_empty()).then_some(valid)
     }
 
     /// The ES query for a click history: concatenated clicked-tag texts
@@ -902,24 +692,26 @@ impl<M: SequenceRecommender> ModelServer<M> {
     }
 
     /// Ranks a candidate pool by model score, dropping already-clicked tags.
-    /// Shared by the serial and batched click paths so both rank identically.
     fn recommend_from_scores(
         &self,
         click_set: &[usize],
         pool: &[usize],
-        scores: Vec<f32>,
+        scores: &[f32],
     ) -> Vec<usize> {
         let clicked = |t: usize| click_set.binary_search(&t).is_ok();
-        let mut ranked: Vec<(usize, f32)> =
-            pool.iter().copied().zip(scores).filter(|&(t, _)| !clicked(t)).collect();
+        let mut ranked: Vec<(usize, f32)> = pool
+            .iter()
+            .copied()
+            .zip(scores.iter().copied())
+            .filter(|&(t, _)| !clicked(t))
+            .collect();
         ranked.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
         ranked.into_iter().take(self.tags_per_response).map(|(t, _)| t).collect()
     }
 
-    /// Overlap-reranks BM25 recall for a click history (§V-A). Shared by
-    /// the serial and batched click paths so both rerank identically.
+    /// Overlap-reranks BM25 recall for a click history (§V-A).
     fn rerank_recall(&self, click_set: &[usize], recall: &[Hit]) -> Vec<usize> {
         let clicked = |t: usize| click_set.binary_search(&t).is_ok();
         let max_bm25 = recall.first().map_or(1.0, |h| h.score.max(1e-6));
@@ -936,88 +728,54 @@ impl<M: SequenceRecommender> ModelServer<M> {
         rescored.into_iter().take(self.questions_per_response).map(|(q, _)| q).collect()
     }
 
-    /// Handles a micro-batch of tag clicks with one batched score call.
-    ///
-    /// Per request this is bit-exact with [`Self::handle_tag_click`]
-    /// (`same_content`-identical responses): validation, cache lookups and
-    /// ranking run per request exactly as in the serial path, while the
-    /// model forward is issued once via
-    /// [`SequenceRecommender::score_candidates_batch`] over the deduplicated
-    /// `(tenant, clicks)` set and BM25 recall is shared across requests that
-    /// produce the same query. Per-request counters and the per-path
-    /// histograms tick once per request, so registry reconciliation
-    /// (`serving.requests` == requests served) is unchanged; stage
-    /// histograms record the amortized per-request share of the shared
-    /// stages.
+    /// Handles a micro-batch of untraced tag clicks, answering each exactly
+    /// as a lone [`TagService::handle_tag_click`] would (`same_content`).
     pub fn handle_tag_click_batch(&self, reqs: &[(usize, Vec<usize>)]) -> Vec<TagClickResponse> {
-        self.handle_tag_click_batch_inner(reqs, &[])
+        self.click_drain(reqs, &[])
     }
 
-    /// [`Self::handle_tag_click_batch`] with per-request tracing: `traces`
-    /// runs parallel to `reqs` (missing/short entries mean "untraced").
-    /// Traced requests get per-stage spans; the shared batched forward is
-    /// recorded per request as its amortized share, mirroring the
-    /// `serving.stage.score_us` accounting.
-    pub fn handle_tag_click_batch_traced(
+    /// The tag-click path (§V-A), for a whole drain at once: the model ranks
+    /// next tags (restricted to the tenant's inventory) and the click
+    /// history becomes an ES query whose recall is re-ranked by tag overlap.
+    /// `traces` runs parallel to `reqs`; a missing entry means untraced.
+    ///
+    /// Validation, the response cache and ranking run per request, while
+    /// the model forward is issued once via
+    /// [`SequenceRecommender::score_candidates_batch`] over the deduplicated
+    /// `(tenant, clicks)` rows, and BM25 recall once per row. Counters and
+    /// the per-path histograms tick once per request, so registry
+    /// reconciliation (`serving.requests` == requests served) holds; the
+    /// `serving.stage.score_us` samples and each traced request's `score`
+    /// span are its amortized share of the shared forward.
+    pub(crate) fn click_drain(
         &self,
         reqs: &[(usize, Vec<usize>)],
-        traces: &[Option<TraceHandle>],
+        traces: &[Option<&TraceHandle>],
     ) -> Vec<TagClickResponse> {
-        self.handle_tag_click_batch_inner(reqs, traces)
-    }
-
-    fn handle_tag_click_batch_inner(
-        &self,
-        reqs: &[(usize, Vec<usize>)],
-        traces: &[Option<TraceHandle>],
-    ) -> Vec<TagClickResponse> {
-        use std::collections::HashMap;
-
-        struct Pending {
+        /// A request past validation and the cache, still to be answered.
+        struct Pending<'t> {
             idx: usize,
             tenant: usize,
             clicks: Vec<usize>,
             timer: SpanTimer,
-            score_row: usize,
-            trace: Option<TraceHandle>,
+            trace: Option<&'t TraceHandle>,
         }
 
-        let trace_for = |idx: usize| traces.get(idx).and_then(Option::as_ref);
         let mut out: Vec<Option<TagClickResponse>> = reqs.iter().map(|_| None).collect();
         let mut pending: Vec<Pending> = Vec::new();
-        // Identical (tenant, clicks) requests share one scored row: the
-        // forward is deterministic, so one row serves them all.
-        let mut score_rows: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
-        let mut uniq: Vec<(usize, Vec<usize>)> = Vec::new();
-
-        // --- per-request validation + cache, exactly as the serial path ---
-        for (idx, (tenant, raw_clicks)) in reqs.iter().enumerate() {
-            let tenant = *tenant;
+        for (idx, (tenant, raw)) in reqs.iter().enumerate() {
+            let (tenant, trace) = (*tenant, traces.get(idx).copied().flatten());
             let timer = SpanTimer::start();
-            self.obs.tenant_requests(tenant).inc();
-            if raw_clicks.is_empty() {
-                self.obs.err_empty_clicks.inc();
-                out[idx] = Some(self.degraded_click_response(tenant, timer));
+            self.obs.tenant_request(tenant);
+            let Some(mut clicks) = self.valid_clicks(tenant, raw) else {
+                let latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
+                out[idx] = Some(TagClickResponse { latency_us, ..Default::default() });
                 continue;
-            }
-            if tenant >= self.tenant_tags.len() {
-                self.obs.err_bad_tenant.inc();
-                out[idx] = Some(self.degraded_click_response(tenant, timer));
-                continue;
-            }
-            let valid: Vec<usize> =
-                raw_clicks.iter().copied().filter(|&t| t < self.tag_texts.len()).collect();
-            if valid.len() < raw_clicks.len() {
-                self.obs.err_bad_tag.add((raw_clicks.len() - valid.len()) as u64);
-                if valid.is_empty() {
-                    out[idx] = Some(self.degraded_click_response(tenant, timer));
-                    continue;
-                }
-            }
+            };
             if let Some(cache) = &self.cache {
+                let key = (tenant, clicks);
                 let cache_span = self.obs.stage_cache.span();
-                let cached =
-                    trace_stage(trace_for(idx), "cache", || cache.get(&(tenant, valid.clone())));
+                let cached = trace_stage(trace, "cache", || cache.get(&key));
                 cache_span.finish();
                 if let Some(mut resp) = cached {
                     self.obs.cache_hit.inc();
@@ -1026,92 +784,56 @@ impl<M: SequenceRecommender> ModelServer<M> {
                     continue;
                 }
                 self.obs.cache_miss.inc();
+                clicks = key.1;
             }
-            let score_row = *score_rows.entry((tenant, valid.clone())).or_insert_with(|| {
-                uniq.push((tenant, valid.clone()));
-                uniq.len() - 1
-            });
-            pending.push(Pending {
-                idx,
-                tenant,
-                clicks: valid,
-                timer,
-                score_row,
-                trace: trace_for(idx).cloned(),
-            });
+            pending.push(Pending { idx, tenant, clicks, timer, trace });
         }
 
-        // --- one batched forward over every unique (clicks, pool) ---------
-        // The score-row LRU is consulted first: rows remembered from earlier
-        // drains (or the serial path — both forwards are bit-identical) drop
-        // out of the stacked forward entirely, so a hot tenant repeating its
-        // click prefix shrinks the batch instead of re-deriving known rows.
-        let mut uniq_scores: Vec<Option<Vec<f32>>> = vec![None; uniq.len()];
-        if !pending.is_empty() {
-            let score_timer = SpanTimer::start();
-            // Per-trace origin offsets at the start of the shared forward;
-            // each member's "score" span covers its amortized share.
-            let trace_starts: Vec<Option<u64>> =
-                pending.iter().map(|p| p.trace.as_ref().map(TraceHandle::now_us)).collect();
-            if let Some(lru) = &self.score_lru {
-                for (row, key) in uniq.iter().enumerate() {
-                    if let Some(scores) = lru.get(key) {
-                        self.obs.record_score_lru(true);
-                        uniq_scores[row] = Some(scores);
-                    } else {
-                        self.obs.record_score_lru(false);
-                    }
-                }
-            }
-            let missing: Vec<usize> =
-                (0..uniq.len()).filter(|&r| uniq_scores[r].is_none()).collect();
-            if !missing.is_empty() {
-                let batch: Vec<(&[usize], &[usize])> = missing
-                    .iter()
-                    .map(|&r| {
-                        let (tenant, clicks) = &uniq[r];
-                        (clicks.as_slice(), self.tenant_tags[*tenant].as_slice())
-                    })
-                    .collect();
-                let fresh = self.model.score_candidates_batch(&batch);
-                for (&r, row) in missing.iter().zip(fresh) {
-                    if let Some(lru) = &self.score_lru {
-                        lru.put(uniq[r].clone(), row.clone());
-                    }
-                    uniq_scores[r] = Some(row);
-                }
-            }
-            let share = score_timer.elapsed_us() / pending.len() as u64;
-            for (p, start) in pending.iter().zip(trace_starts) {
-                self.obs.stage_score.record(share);
-                if let (Some(trace), Some(t0)) = (&p.trace, start) {
-                    trace.record("score", t0, t0 + share);
-                }
+        // --- one forward over every unique row (identical rows share one:
+        // the forward is deterministic) -------------------------------------
+        let mut row_of: HashMap<(usize, &[usize]), usize> = HashMap::new();
+        let mut batch: Vec<(&[usize], &[usize])> = Vec::new();
+        let rows: Vec<usize> = pending
+            .iter()
+            .map(|p| {
+                *row_of.entry((p.tenant, &p.clicks[..])).or_insert_with(|| {
+                    batch.push((&p.clicks[..], &self.tenant_tags[p.tenant][..]));
+                    batch.len() - 1
+                })
+            })
+            .collect();
+        let forward = SpanTimer::start();
+        let scores =
+            if batch.is_empty() { Vec::new() } else { self.model.score_candidates_batch(&batch) };
+        let elapsed = forward.elapsed_us();
+        let share = elapsed / pending.len().max(1) as u64;
+        for p in &pending {
+            self.obs.stage_score.record(share);
+            if let Some(t) = p.trace {
+                let t0 = t.now_us().saturating_sub(elapsed);
+                t.record("score", t0, t0 + share);
             }
         }
 
-        // --- assemble responses, sharing recall across equal queries ------
-        let mut recall_memo: HashMap<(usize, String), Vec<Hit>> = HashMap::new();
-        for p in pending {
+        // --- rank, recall (once per row) and rerank per request -----------
+        let mut recalls: Vec<Option<Vec<Hit>>> = scores.iter().map(|_| None).collect();
+        for (p, row) in pending.into_iter().zip(rows) {
+            // One sorted lookup set per request: membership checks drop
+            // from O(clicks) scans per candidate to O(log clicks).
             let click_set = sorted_click_set(&p.clicks);
             let pool = &self.tenant_tags[p.tenant];
-            let scores = uniq_scores[p.score_row]
-                .clone()
-                .expect("every pending request's score row was resolved");
-            let recommended_tags = self.recommend_from_scores(&click_set, pool, scores);
-
-            let query = self.click_query(&p.clicks);
+            let recommended_tags = self.recommend_from_scores(&click_set, pool, &scores[row]);
             let recall_span = self.obs.stage_recall.span();
-            let recall = trace_stage(p.trace.as_ref(), "recall", || {
-                recall_memo.entry((p.tenant, query)).or_insert_with_key(|(tenant, query)| {
-                    self.kb.recall_for_tenant(query, *tenant, 20)
-                })
+            let recall = trace_stage(p.trace, "recall", || match recalls[row].take() {
+                Some(hits) => hits,
+                None => self.kb.recall_for_tenant(&self.click_query(&p.clicks), p.tenant, 20),
             });
             recall_span.finish();
             let rerank_span = self.obs.stage_rerank.span();
             let predicted_questions =
-                trace_stage(p.trace.as_ref(), "rerank", || self.rerank_recall(&click_set, recall));
+                trace_stage(p.trace, "rerank", || self.rerank_recall(&click_set, &recall));
             rerank_span.finish();
+            recalls[row] = Some(recall);
 
             let latency_us = self.finish_request(p.tenant, p.timer, &self.obs.click_latency);
             let resp = TagClickResponse { recommended_tags, predicted_questions, latency_us };
@@ -1145,25 +867,27 @@ fn trace_stage<R>(trace: Option<&TraceHandle>, name: &'static str, f: impl FnOnc
     }
 }
 
+/// A synchronous front: every request is answered inline on the caller's
+/// thread, and nothing is ever shed.
 impl<M: SequenceRecommender> TagService for ModelServer<M> {
-    fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
-        ModelServer::handle_question(self, tenant, question)
-    }
-
-    fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
-        ModelServer::handle_tag_click(self, tenant, clicks)
-    }
-
-    fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
-        ModelServer::cold_start_tags(self, tenant)
+    fn submit(
+        &self,
+        request: Request,
+        trace: Option<&TraceHandle>,
+        _admission: Admission,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let _ = queue.send(Completion { token, reply: Some(self.serve(request, trace)) });
+        Ok(())
     }
 
     fn metrics(&self) -> &MetricsRegistry {
-        ModelServer::metrics(self)
+        &self.obs.registry
     }
 
     fn latency_snapshot(&self) -> HistogramSnapshot {
-        ModelServer::latency_snapshot(self)
+        self.obs.request_latency.snapshot()
     }
 
     fn policy(&self) -> String {
@@ -1171,25 +895,7 @@ impl<M: SequenceRecommender> TagService for ModelServer<M> {
     }
 
     fn model_version(&self) -> u64 {
-        ModelServer::model_version(self)
-    }
-
-    fn handle_question_traced(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> QuestionResponse {
-        ModelServer::handle_question_traced(self, tenant, question, trace)
-    }
-
-    fn handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> TagClickResponse {
-        ModelServer::handle_tag_click_traced(self, tenant, clicks, trace)
+        self.model_version
     }
 }
 
@@ -1197,6 +903,7 @@ impl<M: SequenceRecommender> TagService for ModelServer<M> {
 mod tests {
     use super::*;
     use intellitag_baselines::Popularity;
+    use intellitag_obs::TraceHandle;
 
     fn server() -> ModelServer<Popularity> {
         let mut kb = KbWarehouse::new();
@@ -1403,125 +1110,25 @@ mod tests {
         assert!(s.qa_matcher.as_ref().unwrap().cache_hits() > 0);
     }
 
-    /// Popularity wrapper that counts how many rows the model actually
-    /// scored — the quantity the score-row LRU exists to reduce.
-    struct CountingModel {
-        inner: Popularity,
-        scored_rows: std::cell::Cell<usize>,
+    /// Serves one request through [`TagService::call`], recording its
+    /// spans into `trace`.
+    fn traced(s: &ModelServer<Popularity>, request: Request, trace: &TraceHandle) -> Reply {
+        s.call(request, Some(trace), Admission::Block).expect("a synchronous front never sheds")
     }
 
-    impl CountingModel {
-        fn new(inner: Popularity) -> Self {
-            CountingModel { inner, scored_rows: std::cell::Cell::new(0) }
-        }
-    }
-
-    impl intellitag_baselines::SequenceRecommender for CountingModel {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-
-        fn score_all(&self, context: &[usize]) -> Vec<f32> {
-            self.inner.score_all(context)
-        }
-
-        fn score_candidates(&self, context: &[usize], candidates: &[usize]) -> Vec<f32> {
-            self.scored_rows.set(self.scored_rows.get() + 1);
-            self.inner.score_candidates(context, candidates)
-        }
-
-        fn score_candidates_batch(&self, reqs: &[(&[usize], &[usize])]) -> Vec<Vec<f32>> {
-            self.scored_rows.set(self.scored_rows.get() + reqs.len());
-            self.inner.score_candidates_batch(reqs)
-        }
-    }
-
-    fn counting_server() -> ModelServer<CountingModel> {
-        let plain = server();
-        let mut kb = KbWarehouse::new();
-        kb.add_pair("how to change password", "settings > security", 0);
-        kb.add_pair("how to apply for etc card", "apply in the etc menu", 0);
-        kb.add_pair("where to cancel the order", "orders > cancel", 1);
-        let clicks = vec![5, 9, 3, 7, 2, 4];
-        ModelServer::new(
-            CountingModel::new(Popularity::from_counts(&clicks)),
-            kb,
-            plain.tag_texts.clone(),
-            plain.rq_tags.clone(),
-            plain.tenant_tags.clone(),
-            clicks,
-        )
-    }
-
-    #[test]
-    fn score_lru_skips_repeat_forwards_across_drains() {
-        // Hot-tenant skew: one tenant repeats the same short click prefixes
-        // drain after drain. With the score-row LRU, the second drain's
-        // stacked forward must shrink to only the unseen rows.
-        let hot: Vec<(usize, Vec<usize>)> =
-            vec![(0, vec![0, 1]), (0, vec![1]), (0, vec![0, 1]), (1, vec![4]), (0, vec![1])];
-        let s = counting_server().with_score_lru(16);
-
-        let first = s.handle_tag_click_batch(&hot);
-        let after_first = s.model().scored_rows.get();
-        assert_eq!(after_first, 3, "first drain scores each unique (tenant, clicks) once");
-        assert_eq!(s.score_lru_stats(), Some((0, 3)));
-
-        let second = s.handle_tag_click_batch(&hot);
-        let after_second = s.model().scored_rows.get();
-        assert_eq!(after_second, after_first, "repeat drain must not re-run any forward");
-        assert_eq!(s.score_lru_stats(), Some((3, 3)));
-        assert_eq!(s.metrics().counter("serving.score_lru.hits").get(), 3);
-        assert_eq!(s.metrics().counter("serving.score_lru.misses").get(), 3);
-        assert_eq!(s.metrics().gauge("serving.score_lru.hit_ratio").get(), 0.5);
-
-        // Cached rows must not change the answers.
-        for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-            assert!(a.same_content(b), "request {i} diverged when served from the score LRU");
-        }
-
-        // A drain mixing old and new prefixes scores only the new ones.
-        let mixed: Vec<(usize, Vec<usize>)> = vec![(0, vec![0, 1]), (0, vec![2]), (1, vec![5])];
-        let _ = s.handle_tag_click_batch(&mixed);
-        assert_eq!(s.model().scored_rows.get(), after_second + 2, "only unseen rows forwarded");
-    }
-
-    #[test]
-    fn score_lru_serves_serial_path_and_matches_uncached() {
-        let cached = counting_server().with_score_lru(8);
-        let plain = counting_server();
-        let a1 = cached.handle_tag_click(0, &[0, 1]);
-        let a2 = cached.handle_tag_click(0, &[0, 1]);
-        let b1 = plain.handle_tag_click(0, &[0, 1]);
-        let b2 = plain.handle_tag_click(0, &[0, 1]);
-        assert!(a1.same_content(&a2));
-        assert!(a1.same_content(&b1), "LRU-served response must match the uncached server");
-        assert!(a2.same_content(&b2));
-        assert_eq!(cached.model().scored_rows.get(), 1, "second click reused the cached row");
-        assert_eq!(plain.model().scored_rows.get(), 2, "without the LRU every repeat re-scores");
-        assert_eq!(cached.score_lru_stats(), Some((1, 1)));
-        // Serial and batched paths share one LRU: a batch drain containing
-        // the same prefix also skips its forward.
-        let _ = cached.handle_tag_click_batch(&[(0, vec![0, 1])]);
-        assert_eq!(cached.model().scored_rows.get(), 1);
-    }
-
-    #[test]
-    fn score_lru_disabled_by_default() {
-        let s = counting_server();
-        let _ = s.handle_tag_click(0, &[0, 1]);
-        let _ = s.handle_tag_click(0, &[0, 1]);
-        assert_eq!(s.score_lru_stats(), None);
-        assert_eq!(s.model().scored_rows.get(), 2);
-        assert_eq!(s.metrics().counter("serving.score_lru.hits").get(), 0);
+    fn span_names(trace: &TraceHandle) -> Vec<&'static str> {
+        trace.finish().spans.iter().map(|sp| sp.name).collect()
     }
 
     #[test]
     fn traced_click_records_stage_spans_and_matches_untraced() {
-        use intellitag_obs::TraceHandle;
         let s = server().with_cache(8);
         let trace = TraceHandle::new(0xfeed);
-        let traced = s.handle_tag_click_traced(0, &[0, 1], &trace);
+        let Reply::TagClick(traced) =
+            traced(&s, Request::TagClick { tenant: 0, clicks: vec![0, 1] }, &trace)
+        else {
+            panic!("a click answers with a click reply")
+        };
         let plain = s.handle_tag_click(0, &[0, 1]);
         assert!(traced.same_content(&plain), "tracing must not change the answer");
         let done = trace.finish();
@@ -1538,36 +1145,67 @@ mod tests {
 
     #[test]
     fn traced_question_records_recall_span() {
-        use intellitag_obs::TraceHandle;
         let s = server();
         let trace = TraceHandle::new(1);
-        let traced = s.handle_question_traced(0, "change password", &trace);
-        let plain = s.handle_question(0, "change password");
-        assert!(traced.same_content(&plain));
-        let names: Vec<&str> = trace.finish().spans.iter().map(|sp| sp.name).collect();
-        assert_eq!(names, vec!["recall"]);
+        let request = Request::Question { tenant: 0, text: "change password".into() };
+        let Reply::Question(traced) = traced(&s, request, &trace) else {
+            panic!("a question answers with a question reply")
+        };
+        assert!(traced.same_content(&s.handle_question(0, "change password")));
+        assert_eq!(span_names(&trace), vec!["recall"]);
+    }
+
+    #[test]
+    fn traced_cold_start_records_its_stage_span() {
+        let s = server();
+        let trace = TraceHandle::new(2);
+        let Reply::ColdStart(tags) = traced(&s, Request::ColdStart { tenant: 0 }, &trace) else {
+            panic!("a cold start answers with tags")
+        };
+        assert_eq!(tags, s.cold_start_tags(0));
+        assert_eq!(span_names(&trace), vec!["cold_start"]);
+    }
+
+    #[test]
+    fn a_lone_click_is_a_drain_of_one() {
+        // The blocking call and a one-request drain are the same path: the
+        // same answer, the same stage spans, the same stage accounting.
+        let (lone, drained) = (server(), server());
+        let reply = lone.handle_tag_click(0, &[0, 1]);
+        let batch = drained.handle_tag_click_batch(&[(0, vec![0, 1])]);
+        assert!(reply.same_content(&batch[0]));
+        for s in [&lone, &drained] {
+            for stage in ["score", "recall", "rerank"] {
+                let h = s.metrics().histogram(&format!("serving.stage.{stage}_us"));
+                assert_eq!(h.count(), 1, "stage {stage}");
+            }
+        }
+        let (a, b) = (TraceHandle::new(3), TraceHandle::new(4));
+        let _ = traced(&lone, Request::TagClick { tenant: 0, clicks: vec![0, 1] }, &a);
+        let _ = drained.click_drain(&[(0, vec![0, 1])], &[Some(&b)]);
+        let names = span_names(&a);
+        assert_eq!(names, ["score", "recall", "rerank"]);
+        assert_eq!(span_names(&b), names);
     }
 
     #[test]
     fn traced_batch_records_amortized_score_spans() {
-        use intellitag_obs::TraceHandle;
         let reqs: Vec<(usize, Vec<usize>)> = vec![(0, vec![0, 1]), (1, vec![4]), (0, vec![2])];
-        let traces: Vec<Option<TraceHandle>> =
-            (0..reqs.len()).map(|i| Some(TraceHandle::new(i as u64 + 1))).collect();
+        let traces: Vec<TraceHandle> =
+            (0..reqs.len()).map(|i| TraceHandle::new(i as u64 + 1)).collect();
         let batch_server = server();
-        let batched = batch_server.handle_tag_click_batch_traced(&reqs, &traces);
+        let batched = batch_server.click_drain(&reqs, &traces.iter().map(Some).collect::<Vec<_>>());
         let serial_server = server();
         for (i, (b, (t, c))) in batched.iter().zip(&reqs).enumerate() {
             assert!(
                 b.same_content(&serial_server.handle_tag_click(*t, c)),
                 "request {i} diverged under tracing"
             );
-            let done = traces[i].as_ref().unwrap().finish();
-            let names: Vec<&str> = done.spans.iter().map(|sp| sp.name).collect();
+            let names = span_names(&traces[i]);
             assert_eq!(names, vec!["score", "recall", "rerank"], "request {i}: {names:?}");
         }
         // Untraced requests in a traced drain are fine (short traces slice).
-        let out = batch_server.handle_tag_click_batch_traced(&reqs, &[]);
+        let out = batch_server.click_drain(&reqs, &[]);
         assert_eq!(out.len(), reqs.len());
     }
 
@@ -1603,14 +1241,13 @@ mod tests {
 
     #[test]
     fn install_model_invalidates_caches_and_bumps_version() {
-        // The latent stale-cache bug the hot-swap exposes: both the response
-        // cache and the score-row LRU hold *old-model* output, so a swap
-        // that kept them would answer repeated keys from the previous
-        // version. install_model must clear both.
-        let s = server().with_cache(16).with_score_lru(16);
-        let mut s = s;
+        // The latent stale-cache bug the hot-swap exposes: the response
+        // cache holds *old-model* output, so a swap that kept it would
+        // answer repeated keys from the previous version. install_model
+        // must clear it.
+        let mut s = server().with_cache(16);
         let pre = s.handle_tag_click(0, &[1]);
-        let _ = s.handle_tag_click(0, &[1]); // warm both caches
+        let _ = s.handle_tag_click(0, &[1]); // warm the cache
         assert_eq!(counter_value(&s, "serving.cache.hit"), 1);
         assert_eq!(s.model_version(), 0);
         assert_eq!(s.metrics().gauge("serving.model_version").get(), 0.0);
@@ -1623,7 +1260,6 @@ mod tests {
         assert_eq!(s.metrics().gauge("serving.model_version").get(), 7.0);
         assert_eq!(counter_value(&s, "serving.swaps"), 1);
         assert_eq!(s.cache_hit_rate(), Some(0.0), "response cache cleared");
-        assert_eq!(s.score_lru_stats(), Some((0, 0)), "score LRU cleared");
 
         // A fresh server built directly from the new model is the oracle:
         // the swapped server must answer repeated keys identically to it.
@@ -1691,6 +1327,31 @@ mod tests {
         // accounting — a fronting gateway's 200s reconcile exactly.
         assert_eq!(s.latency_snapshot().count, 3);
         assert_eq!(counter_value(&s, "serving.requests"), 3);
+    }
+
+    #[test]
+    fn out_of_range_tenants_mint_no_metric_series() {
+        // Tenant ids come straight off the wire: however many distinct bad
+        // ones arrive, the registry — and so `/metrics` — must not grow.
+        let s = server();
+        let kinds = |tenant: usize| {
+            let _ = s.handle_question(tenant, "change password");
+            let _ = s.handle_tag_click(tenant, &[0]);
+            let _ = s.cold_start_tags(tenant);
+        };
+        kinds(0);
+        kinds(99);
+        let series = s.metrics().names().len();
+        for tenant in 1_000..11_000 {
+            let request = match tenant % 3 {
+                0 => Request::Question { tenant, text: "change password".into() },
+                1 => Request::TagClick { tenant, clicks: vec![0] },
+                _ => Request::ColdStart { tenant },
+            };
+            let _ = s.call(request, None, Admission::Block);
+        }
+        assert_eq!(s.metrics().names().len(), series);
+        assert_eq!(counter_value(&s, "serving.error.bad_tenant"), 3 + 10_000);
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! This is the ROADMAP's "next scaling step" for the paper's online system
 //! (§V): the deployed stack serves heavy tenant traffic with strict latency
 //! SLOs (Table VI), which a single synchronous server cannot absorb. The
-//! front routes requests per the configured [`RoutingPolicy`] — static
-//! `tenant % shards` partitioning (the default, keeping a tenant's cache
-//! and counters shard-local) or load-aware power-of-two-choices over live
-//! per-shard queue depths — micro-batches queue drains (up to
-//! `batch_max` requests per wakeup, amortizing scheduler round trips), and
-//! degrades gracefully under overload: queues are bounded, the `try_`
-//! variants shed with a counter instead of blocking, and shutdown drains
-//! every in-flight request before the workers exit.
+//! front routes each request to its tenant's shard (`tenant % shards`,
+//! keeping a tenant's cache and counters shard-local), micro-batches queue
+//! drains (up to `batch_max` requests per wakeup, amortizing scheduler round
+//! trips), and degrades gracefully under overload: queues are bounded,
+//! [`Admission::Shed`] submissions shed with a counter instead of blocking,
+//! and shutdown drains every in-flight request before the workers exit.
 //!
 //! The headline guarantee — enforced by `tests/sharded_parity.rs` — is that
 //! for any request stream the front returns responses identical to a
@@ -36,30 +34,13 @@ use std::thread::JoinHandle;
 
 use intellitag_baselines::SequenceRecommender;
 use intellitag_obs::{
-    tenant_tier, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer,
-    TraceHandle, SLO_SHED_METRIC, SLO_TIER_LABEL,
+    tenant_tier, tier_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    SpanTimer, TraceHandle, SLO_SHED_METRIC, SLO_TIER_LABEL,
 };
 
 use crate::serving::{
-    CompletionQueue, ModelServer, QuestionResponse, Reply, ReplyTo, TagClickResponse, TagService,
+    Admission, CompletionQueue, ModelServer, Reply, ReplyTo, Request, TagService,
 };
-
-/// How the front picks a shard for each request. Every shard owns a full
-/// deterministic replica, so the policy changes latency and load balance,
-/// never answers — the parity tests hold under either policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// Static partitioning: `tenant % shards`. A tenant's cache and
-    /// counters stay shard-local; one hot tenant can hotspot one shard.
-    #[default]
-    TenantHash,
-    /// Power-of-two-choices: sample two distinct candidate shards per
-    /// request (deterministically, from a per-front sequence) and route to
-    /// the one with the smaller queue depth. Spreads multi-replica tenants
-    /// across the fleet; the classic result is exponential improvement in
-    /// max load over one random choice.
-    PowerOfTwoChoices,
-}
 
 /// Tuning knobs of the sharded front. Parity with the single-process server
 /// holds for every setting; these trade latency against throughput only.
@@ -71,32 +52,14 @@ pub struct ShardConfig {
     /// Maximum requests drained per worker wakeup (micro-batch size). `1`
     /// disables batching.
     pub batch_max: usize,
-    /// Bounded per-shard queue capacity. Blocking calls apply backpressure
-    /// when the queue is full; `try_` calls shed instead.
+    /// Bounded per-shard queue capacity. [`Admission::Block`] waits when
+    /// the queue is full; [`Admission::Shed`] sheds instead.
     pub queue_capacity: usize,
-    /// Shard selection policy (default: static `tenant % shards`).
-    pub routing: RoutingPolicy,
-    /// Tensor compute-pool threads *per process* (`0` = leave the global
-    /// setting alone — env override or `available_parallelism`). The pool is
-    /// process-global, so all shards share it: a front running S shards with
-    /// a P-thread pool can have up to `S × P` runnable threads. There is no
-    /// manual sizing rule to follow — the runtime governor
-    /// (`crate::governor`) watches live queue depths and resizes the pool
-    /// for the current regime; this field only picks the starting point.
-    /// Pool size never changes answers (kernels are bit-identical across
-    /// pool sizes), so this is a pure latency/throughput knob.
-    pub pool_threads: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            shards: 4,
-            batch_max: 8,
-            queue_capacity: 256,
-            routing: RoutingPolicy::TenantHash,
-            pool_threads: 0,
-        }
+        ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256 }
     }
 }
 
@@ -114,8 +77,8 @@ impl Default for ShardConfig {
 pub struct RuntimeKnobs {
     /// Live micro-batch ceiling; workers load this at each drain top.
     batch_max: AtomicUsize,
-    /// Soft admission limit: `try_`/`submit_` calls shed once a shard's
-    /// live depth exceeds this, *before* the physical queue is full.
+    /// Soft admission limit: [`Admission::Shed`] submissions shed once a
+    /// shard's live depth exceeds this, *before* the physical queue is full.
     shed_depth: AtomicUsize,
     /// Physical per-shard queue capacity — the immutable upper bound for
     /// both knobs (mpsc queues cannot be regrown in place).
@@ -255,8 +218,8 @@ impl<M: SequenceRecommender> WorkerSwap<M> {
     /// The epoch fence. Called between drains — after a batch is collected
     /// but before any of it is served — so every request in a drain is
     /// answered by exactly one model version. [`ModelServer::install_model`]
-    /// also drops the response cache and score-row LRU, so no post-swap
-    /// request can observe a score computed by the previous version.
+    /// also drops the response cache, so no post-swap request can observe a
+    /// score computed by the previous version.
     fn apply_pending(&mut self, server: &mut ModelServer<M>) {
         let Some(payload) = self.swap.newer_than(self.seen) else { return };
         let model = (self.loader)(self.shard, &payload);
@@ -266,17 +229,7 @@ impl<M: SequenceRecommender> WorkerSwap<M> {
     }
 }
 
-/// The mix stage of splitmix64 — cheap, stateless, and deterministic, which
-/// keeps power-of-two-choices candidate sampling reproducible run to run.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Why a `try_` request was rejected without being served.
+/// Why a front refused a request without serving it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The shard's bounded queue was full (overload shedding; counted in
@@ -298,38 +251,6 @@ struct Job {
     trace: JobTrace,
     /// Started when the caller entered the front.
     timer: SpanTimer,
-}
-
-/// The three request kinds, owning their payload for the ride through the
-/// queue.
-enum Request {
-    Question { tenant: usize, text: String },
-    TagClick { tenant: usize, clicks: Vec<usize> },
-    ColdStart { tenant: usize },
-}
-
-impl Request {
-    fn tenant(&self) -> usize {
-        match *self {
-            Request::Question { tenant, .. }
-            | Request::TagClick { tenant, .. }
-            | Request::ColdStart { tenant } => tenant,
-        }
-    }
-}
-
-/// Whether a full shard queue makes the caller wait or turns it away.
-#[derive(Clone, Copy)]
-enum Admission {
-    /// Backpressure: block until the queue has room.
-    Block,
-    /// Shed past the governed soft limit or a full queue.
-    Shed,
-}
-
-/// Stamps a job trace at enqueue time.
-fn job_trace(trace: Option<&TraceHandle>) -> JobTrace {
-    trace.map(|t| (t.clone(), t.now_us()))
 }
 
 /// Client-side handle to one shard: the bounded queue plus the metric
@@ -362,12 +283,18 @@ struct WorkerMetrics {
 }
 
 impl WorkerMetrics {
-    /// Accounts for one served reply about to be released. `processed` and
-    /// the front latency are recorded first, so once a caller holds a reply
-    /// the registry already reflects it.
-    fn served(&self, timer: SpanTimer) {
+    /// Accounts for one served reply and releases it. `processed` and the
+    /// front latency are recorded first, so once a caller holds a reply the
+    /// registry already reflects it — and so does the trace: the `drain`
+    /// span (dequeue -> reply-ready, annotated with the shard and the
+    /// drain's size) is closed before the reply is sent.
+    fn release(&self, reply: ReplyTo, answer: Reply, timer: SpanTimer, trace: JobTrace, rows: u32) {
+        if let Some((t, deq)) = trace {
+            t.record_annotated("drain", deq, t.now_us(), Some(self.shard), Some(rows));
+        }
         self.processed.inc();
         self.front_latency.record(timer.elapsed_us());
+        reply.send(answer);
     }
 }
 
@@ -388,11 +315,10 @@ pub struct ShardedServer {
     config: ShardConfig,
     shed_total: Arc<Counter>,
     /// Per-tenant-tier shed counters (`slo.shed{tenant_tier=..}`), bound
-    /// once and indexed `tenant % 3` so the shed path never formats names.
+    /// once and indexed by [`tier_index`] so the shed path never formats
+    /// names.
     slo_shed: [Arc<Counter>; 3],
     worker_lost: Arc<Counter>,
-    /// Per-front sequence feeding power-of-two-choices candidate sampling.
-    route_seq: AtomicU64,
     /// Highest snapshot version any worker has applied (workers fence swaps
     /// at their own drain boundaries, so individual replicas may trail this
     /// for one drain during a rollout).
@@ -430,8 +356,8 @@ impl ShardedServer {
     /// `IntelliTag::load` over an `IntelliTag::save` artifact).
     ///
     /// Swapping never loses requests: requests already drained are served
-    /// by the old version, later drains by the new one, and the caches the
-    /// replica keeps are invalidated as part of the install.
+    /// by the old version, later drains by the new one, and the cache the
+    /// replica keeps is invalidated as part of the install.
     pub fn spawn_swappable<M, F, L>(
         cfg: ShardConfig,
         registry: MetricsRegistry,
@@ -447,12 +373,11 @@ impl ShardedServer {
         Self::spawn_inner(cfg, registry, factory, Some((swap, Arc::new(loader) as _)))
     }
 
-    #[allow(clippy::type_complexity)]
     fn spawn_inner<M, F>(
         cfg: ShardConfig,
         registry: MetricsRegistry,
         factory: F,
-        swap: Option<(ModelSwap, Arc<dyn Fn(usize, &SwapPayload) -> M + Send + Sync>)>,
+        swap: Option<(ModelSwap, ModelLoader<M>)>,
     ) -> Self
     where
         M: SequenceRecommender + 'static,
@@ -461,9 +386,6 @@ impl ShardedServer {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.batch_max >= 1, "batch_max must be at least 1");
         assert!(cfg.queue_capacity >= 1, "queue_capacity must be at least 1");
-        if cfg.pool_threads != 0 {
-            intellitag_tensor::set_pool_threads(cfg.pool_threads);
-        }
         let factory = Arc::new(factory);
         let (ready_tx, ready_rx) = mpsc::channel::<(String, u64)>();
         let applied_version = Arc::new(AtomicU64::new(0));
@@ -538,7 +460,6 @@ impl ShardedServer {
             worker_lost: registry.counter("sharded.error.worker_lost"),
             registry,
             config: cfg,
-            route_seq: AtomicU64::new(0),
             applied_version,
             knobs,
         }
@@ -551,52 +472,10 @@ impl ShardedServer {
         Arc::clone(&self.knobs)
     }
 
-    /// Highest snapshot version any shard worker has applied (0 until a
-    /// versioned checkpoint is installed). During a rollout individual
-    /// replicas may trail by at most one drain — each worker fences at its
-    /// own drain boundary — so this is the front's "serving at least
-    /// version N" watermark, mirrored by the gateway's `/healthz` field and
-    /// `X-Model-Version` reply header.
-    pub fn model_version(&self) -> u64 {
-        self.applied_version.load(Ordering::Acquire)
-    }
-
-    /// The tenant's *static* home shard (`tenant % shards`) — where its
-    /// requests go under [`RoutingPolicy::TenantHash`]. Under
-    /// [`RoutingPolicy::PowerOfTwoChoices`] routing is per-request and
-    /// load-aware; see [`ShardedServer::route`].
+    /// The shard that serves a tenant: `tenant % shards`, the front's one
+    /// routing rule.
     pub fn shard_for(&self, tenant: usize) -> usize {
         tenant % self.shards.len()
-    }
-
-    /// Picks the shard that will serve this request, per the configured
-    /// [`RoutingPolicy`]. Power-of-two-choices samples two distinct
-    /// candidates from a deterministic sequence and takes the one with the
-    /// smaller live queue depth (ties go to the first candidate).
-    pub fn route(&self, tenant: usize) -> usize {
-        let n = self.shards.len();
-        match self.config.routing {
-            RoutingPolicy::TenantHash => tenant % n,
-            RoutingPolicy::PowerOfTwoChoices => {
-                if n == 1 {
-                    return 0;
-                }
-                let seq = self.route_seq.fetch_add(1, Ordering::Relaxed);
-                let h = splitmix64(seq ^ (tenant as u64).rotate_left(32));
-                let a = (h % n as u64) as usize;
-                let mut b = (splitmix64(h) % (n as u64 - 1)) as usize;
-                if b >= a {
-                    b += 1; // distinct second choice
-                }
-                let depth_a = self.shards[a].depth.load(Ordering::Relaxed);
-                let depth_b = self.shards[b].depth.load(Ordering::Relaxed);
-                if depth_b < depth_a {
-                    b
-                } else {
-                    a
-                }
-            }
-        }
     }
 
     /// The front's configuration.
@@ -663,265 +542,32 @@ impl ShardedServer {
         job.reply.disarm();
         Err(reason)
     }
+}
 
-    /// Routes and enqueues one request whose reply goes to `queue` under
-    /// `token`. `Err` means the request never reached a worker (shed, or
-    /// the worker is gone) and nothing will arrive on the queue; sheds tick
-    /// the tenant tier's `slo.shed{tenant_tier=..}` counter.
-    fn enqueue(
+impl TagService for ShardedServer {
+    /// Enqueues the request on its tenant's shard; its reply lands on
+    /// `queue` tagged `token` when the shard finishes it, however drains
+    /// batch or reorder work. The trace rides the queue: the worker closes
+    /// a `shard.queue` span at dequeue, wraps the serving in a `drain`
+    /// span, and the replica records per-stage spans in between. A shed
+    /// ticks the tenant tier's `slo.shed{tenant_tier=..}` counter.
+    fn submit(
         &self,
-        admission: Admission,
         request: Request,
         trace: Option<&TraceHandle>,
-        queue: CompletionQueue,
+        admission: Admission,
+        queue: &CompletionQueue,
         token: u64,
     ) -> Result<(), ShedReason> {
         let timer = SpanTimer::start();
         let tenant = request.tenant();
-        let shard = self.route(tenant);
-        let job =
-            Job { request, reply: ReplyTo::new(queue, token), trace: job_trace(trace), timer };
-        self.admit(admission, shard, job).inspect_err(|&reason| {
+        let trace = trace.map(|t| (t.clone(), t.now_us()));
+        let job = Job { request, reply: ReplyTo::new(queue.clone(), token), trace, timer };
+        self.admit(admission, self.shard_for(tenant), job).inspect_err(|&reason| {
             if reason == ShedReason::Overloaded {
-                self.slo_shed[tenant % 3].inc();
+                self.slo_shed[tier_index(tenant as u64)].inc();
             }
         })
-    }
-
-    /// The blocking calls: submit to a queue of one, then wait on it — the
-    /// same reply path the `submit_*` family exposes to callers that keep
-    /// many requests in flight. `Err(ShuttingDown)` when the worker is lost.
-    fn round_trip(
-        &self,
-        admission: Admission,
-        request: Request,
-        trace: Option<&TraceHandle>,
-    ) -> Result<Reply, ShedReason> {
-        let (queue, completions) = mpsc::channel();
-        self.enqueue(admission, request, trace, queue, 0)?;
-        completions.recv().ok().and_then(|done| done.reply).ok_or_else(|| {
-            self.worker_lost.inc();
-            ShedReason::ShuttingDown
-        })
-    }
-
-    fn question(
-        &self,
-        admission: Admission,
-        tenant: usize,
-        question: &str,
-        trace: Option<&TraceHandle>,
-    ) -> Result<QuestionResponse, ShedReason> {
-        let request = Request::Question { tenant, text: question.to_string() };
-        match self.round_trip(admission, request, trace)? {
-            Reply::Question(resp) => Ok(resp),
-            other => unreachable!("question answered with {other:?}"),
-        }
-    }
-
-    fn tag_click(
-        &self,
-        admission: Admission,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-    ) -> Result<TagClickResponse, ShedReason> {
-        let request = Request::TagClick { tenant, clicks: clicks.to_vec() };
-        match self.round_trip(admission, request, trace)? {
-            Reply::TagClick(resp) => Ok(resp),
-            other => unreachable!("tag click answered with {other:?}"),
-        }
-    }
-
-    /// Handles a typed question through the front, blocking under
-    /// backpressure. A lost worker degrades to an empty response (plus the
-    /// `sharded.error.worker_lost` counter) — the client never panics.
-    pub fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
-        self.handle_question_inner(tenant, question, None)
-    }
-
-    /// [`Self::handle_question`] with the request's trace riding the queue:
-    /// the worker closes a `shard.queue` span at dequeue, wraps the drain in
-    /// a `drain` span, and the replica records per-stage spans.
-    pub fn handle_question_traced(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> QuestionResponse {
-        self.handle_question_inner(tenant, question, Some(trace))
-    }
-
-    fn handle_question_inner(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: Option<&TraceHandle>,
-    ) -> QuestionResponse {
-        let timer = SpanTimer::start();
-        self.question(Admission::Block, tenant, question, trace).unwrap_or_else(|_| {
-            QuestionResponse {
-                rq: None,
-                answer: None,
-                recommended_tags: Vec::new(),
-                latency_us: timer.elapsed_us(),
-            }
-        })
-    }
-
-    /// Handles a tag click through the front, blocking under backpressure.
-    pub fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
-        self.handle_tag_click_inner(tenant, clicks, None)
-    }
-
-    /// [`Self::handle_tag_click`] with the request's trace riding the
-    /// queue; batched drains record each member's amortized score share.
-    pub fn handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> TagClickResponse {
-        self.handle_tag_click_inner(tenant, clicks, Some(trace))
-    }
-
-    fn handle_tag_click_inner(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-    ) -> TagClickResponse {
-        let timer = SpanTimer::start();
-        self.tag_click(Admission::Block, tenant, clicks, trace).unwrap_or_else(|_| {
-            TagClickResponse {
-                recommended_tags: Vec::new(),
-                predicted_questions: Vec::new(),
-                latency_us: timer.elapsed_us(),
-            }
-        })
-    }
-
-    /// Cold-start tags for a tenant, served by the routed shard.
-    pub fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
-        match self.round_trip(Admission::Block, Request::ColdStart { tenant }, None) {
-            Ok(Reply::ColdStart(tags)) => tags,
-            Ok(other) => unreachable!("cold start answered with {other:?}"),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Non-blocking question: sheds with [`ShedReason::Overloaded`] instead
-    /// of waiting when the shard's queue is full. Sheds tick the tenant
-    /// tier's `slo.shed{tenant_tier=..}` counter.
-    pub fn try_handle_question(
-        &self,
-        tenant: usize,
-        question: &str,
-    ) -> Result<QuestionResponse, ShedReason> {
-        self.question(Admission::Shed, tenant, question, None)
-    }
-
-    /// [`Self::try_handle_question`] with the request's trace riding the
-    /// queue.
-    pub fn try_handle_question_traced(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> Result<QuestionResponse, ShedReason> {
-        self.question(Admission::Shed, tenant, question, Some(trace))
-    }
-
-    /// Non-blocking tag click: sheds instead of waiting on a full queue.
-    /// Sheds tick the tenant tier's `slo.shed{tenant_tier=..}` counter.
-    pub fn try_handle_tag_click(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-    ) -> Result<TagClickResponse, ShedReason> {
-        self.tag_click(Admission::Shed, tenant, clicks, None)
-    }
-
-    /// [`Self::try_handle_tag_click`] with the request's trace riding the
-    /// queue.
-    pub fn try_handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> Result<TagClickResponse, ShedReason> {
-        self.tag_click(Admission::Shed, tenant, clicks, Some(trace))
-    }
-}
-
-impl TagService for ShardedServer {
-    fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
-        ShardedServer::handle_question(self, tenant, question)
-    }
-
-    fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
-        ShardedServer::handle_tag_click(self, tenant, clicks)
-    }
-
-    fn handle_question_traced(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: &TraceHandle,
-    ) -> QuestionResponse {
-        ShardedServer::handle_question_traced(self, tenant, question, trace)
-    }
-
-    fn handle_tag_click_traced(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: &TraceHandle,
-    ) -> TagClickResponse {
-        ShardedServer::handle_tag_click_traced(self, tenant, clicks, trace)
-    }
-
-    fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
-        ShardedServer::cold_start_tags(self, tenant)
-    }
-
-    /// The job rides the routed shard's queue exactly like
-    /// [`Self::handle_question`], and its reply lands on the caller's
-    /// `queue` tagged `token` when the shard finishes it — however drains
-    /// batch or reorder work. A full queue sheds (`Err`) rather than
-    /// stalling the submitter: the contract the gateway's pipelined binary
-    /// connections need to keep many correlated requests in flight.
-    fn submit_question(
-        &self,
-        tenant: usize,
-        question: &str,
-        trace: Option<&TraceHandle>,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        let request = Request::Question { tenant, text: question.to_string() };
-        self.enqueue(Admission::Shed, request, trace, queue.clone(), token)
-    }
-
-    fn submit_tag_click(
-        &self,
-        tenant: usize,
-        clicks: &[usize],
-        trace: Option<&TraceHandle>,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        let request = Request::TagClick { tenant, clicks: clicks.to_vec() };
-        self.enqueue(Admission::Shed, request, trace, queue.clone(), token)
-    }
-
-    fn submit_cold_start(
-        &self,
-        tenant: usize,
-        queue: &CompletionQueue,
-        token: u64,
-    ) -> Result<(), ShedReason> {
-        self.enqueue(Admission::Shed, Request::ColdStart { tenant }, None, queue.clone(), token)
     }
 
     fn metrics(&self) -> &MetricsRegistry {
@@ -939,8 +585,14 @@ impl TagService for ShardedServer {
         self.policy.clone()
     }
 
+    /// Highest snapshot version any shard worker has applied (0 until a
+    /// versioned checkpoint is installed). During a rollout individual
+    /// replicas may trail by at most one drain — each worker fences at its
+    /// own drain boundary — so this is the front's "serving at least
+    /// version N" watermark, mirrored by the gateway's `/healthz` field and
+    /// `X-Model-Version` reply header.
     fn model_version(&self) -> u64 {
-        ShardedServer::model_version(self)
+        self.applied_version.load(Ordering::Acquire)
     }
 }
 
@@ -950,38 +602,18 @@ impl Drop for ShardedServer {
     }
 }
 
-/// Closes a job's `shard.queue` span (enqueue -> dequeue) and returns the
-/// handle plus the dequeue stamp — which doubles as the `drain` span start.
-fn close_queue_span(trace: JobTrace, shard: u32) -> Option<(TraceHandle, u64)> {
-    trace.map(|(t, enq)| {
-        let deq = t.now_us();
-        t.record_annotated("shard.queue", enq, deq, Some(shard), None);
-        (t, deq)
-    })
-}
-
-/// Records the member's `drain` span: dequeue -> reply-ready, annotated
-/// with the shard and the drain's total size. Recorded *before* the reply
-/// is sent so the client never observes a trace missing its drain span.
-fn close_drain_span(trace: &Option<(TraceHandle, u64)>, shard: u32, rows: u32) {
-    if let Some((t, deq)) = trace {
-        t.record_annotated("drain", *deq, t.now_us(), Some(shard), Some(rows));
-    }
-}
-
 /// The worker loop: block for one request, then drain up to `batch_max - 1`
 /// more without blocking, record the batch size, and serve the batch
 /// through the shard's replica. Each drain is partitioned: questions and
-/// cold starts are answered inline, while the drain's tag clicks ride one
-/// batched score call (`ModelServer::handle_tag_click_batch`) — one model
-/// forward per drain instead of one per click, with the effective batch
-/// size recorded in `sharded.batch_rows{shard=..}`. Batched and serial
-/// scoring are bit-exact, so this changes latency only, never answers.
+/// cold starts are answered one by one, while the drain's tag clicks ride
+/// one batched score call — one model forward per drain instead of one per
+/// click, with the effective batch size recorded in
+/// `sharded.batch_rows{shard=..}`. Batched and serial scoring are
+/// bit-exact, so this changes latency only, never answers.
 ///
-/// Traced jobs get their `shard.queue` span closed at dequeue and a `drain`
-/// span (annotated with the shard and drain size) recorded before their
-/// reply is released; the replica's traced handlers add per-stage spans in
-/// between. Untraced jobs take the exact pre-tracing path.
+/// A traced job gets its `shard.queue` span closed at dequeue and a `drain`
+/// span recorded before its reply is released; the replica adds per-stage
+/// spans in between.
 ///
 /// Exits when every client handle is gone and the queue is empty —
 /// `std::sync::mpsc` delivers buffered messages after sender drop, which is
@@ -1016,67 +648,41 @@ fn worker_loop<M: SequenceRecommender>(
             metrics.depth.fetch_sub(batch.len() as i64, Ordering::Relaxed) - batch.len() as i64;
         metrics.depth_gauge.set(remaining.max(0) as f64);
         metrics.batch_sizes.record(batch.len() as u64);
-        let drain_size = batch.len() as u32;
+        let rows = batch.len() as u32;
         // A drain's click replies leave together, back to back after the one
         // batched forward that produced them, so a caller with several
         // requests in the drain wakes for the first and finds the rest
         // queued.
-        let mut click_reqs: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut click_replies: Vec<(ReplyTo, SpanTimer)> = Vec::new();
-        let mut click_traces: Vec<Option<(TraceHandle, u64)>> = Vec::new();
+        let mut clicks: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut click_jobs: Vec<(ReplyTo, SpanTimer, JobTrace)> = Vec::new();
         for Job { request, reply, trace, timer } in batch.drain(..) {
+            // Dequeue closes the `shard.queue` span; its end stamp doubles
+            // as the `drain` span's start.
+            let trace = trace.map(|(t, enq)| {
+                let deq = t.now_us();
+                t.record_annotated("shard.queue", enq, deq, Some(metrics.shard), None);
+                (t, deq)
+            });
             match request {
-                Request::Question { tenant, text } => {
-                    let trace = close_queue_span(trace, metrics.shard);
-                    let resp = match &trace {
-                        Some((t, _)) => server.handle_question_traced(tenant, &text, t),
-                        None => server.handle_question(tenant, &text),
-                    };
-                    close_drain_span(&trace, metrics.shard, drain_size);
-                    metrics.served(timer);
-                    reply.send(Reply::Question(resp));
+                Request::TagClick { tenant, clicks: trail } => {
+                    clicks.push((tenant, trail));
+                    click_jobs.push((reply, timer, trace));
                 }
-                Request::TagClick { tenant, clicks } => {
-                    click_reqs.push((tenant, clicks));
-                    click_replies.push((reply, timer));
-                    click_traces.push(close_queue_span(trace, metrics.shard));
-                }
-                Request::ColdStart { tenant } => {
-                    let resp = server.cold_start_tags(tenant);
-                    metrics.served(timer);
-                    reply.send(Reply::ColdStart(resp));
+                request => {
+                    let answer = server.serve(request, trace.as_ref().map(|(t, _)| t));
+                    metrics.release(reply, answer, timer, trace, rows);
                 }
             }
         }
-        let responses = match click_reqs.len() {
-            0 => Vec::new(),
-            1 => {
-                // A lone click skips the batch plumbing — with `batch_max`
-                // of 1 this is exactly the pre-batching worker.
-                metrics.batch_rows.record(1);
-                let (tenant, clicks) = &click_reqs[0];
-                vec![match &click_traces[0] {
-                    Some((t, _)) => server.handle_tag_click_traced(*tenant, clicks, t),
-                    None => server.handle_tag_click(*tenant, clicks),
-                }]
-            }
-            rows => {
-                metrics.batch_rows.record(rows as u64);
-                if click_traces.iter().any(Option::is_some) {
-                    let handles: Vec<Option<TraceHandle>> =
-                        click_traces.iter().map(|t| t.as_ref().map(|(h, _)| h.clone())).collect();
-                    server.handle_tag_click_batch_traced(&click_reqs, &handles)
-                } else {
-                    server.handle_tag_click_batch(&click_reqs)
-                }
-            }
-        };
-        for ((resp, (reply, timer)), trace) in
-            responses.into_iter().zip(click_replies).zip(&click_traces)
-        {
-            close_drain_span(trace, metrics.shard, drain_size);
-            metrics.served(timer);
-            reply.send(Reply::TagClick(resp));
+        if clicks.is_empty() {
+            continue;
+        }
+        metrics.batch_rows.record(clicks.len() as u64);
+        let traces: Vec<Option<&TraceHandle>> =
+            click_jobs.iter().map(|(_, _, trace)| trace.as_ref().map(|(t, _)| t)).collect();
+        let responses = server.click_drain(&clicks, &traces);
+        for (resp, (reply, timer, trace)) in responses.into_iter().zip(click_jobs) {
+            metrics.release(reply, Reply::TagClick(resp), timer, trace, rows);
         }
     }
 }
@@ -1084,7 +690,7 @@ fn worker_loop<M: SequenceRecommender>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::Completion;
+    use crate::serving::{Completion, TagClickResponse};
     use intellitag_baselines::Popularity;
     use intellitag_search::KbWarehouse;
 
@@ -1116,7 +722,8 @@ mod tests {
     fn job(request: Request, trace: Option<&TraceHandle>) -> (Job, Receiver<Completion>) {
         let (queue, completions) = mpsc::channel();
         let reply = ReplyTo::new(queue, 0);
-        (Job { request, reply, trace: job_trace(trace), timer: SpanTimer::start() }, completions)
+        let trace = trace.map(|t| (t.clone(), t.now_us()));
+        (Job { request, reply, trace, timer: SpanTimer::start() }, completions)
     }
 
     fn click_job(tenant: usize, clicks: &[usize]) -> (Job, Receiver<Completion>) {
@@ -1171,12 +778,7 @@ mod tests {
         // One slow shard with a deep queue: enqueue from a helper thread,
         // then drop the front while requests are still queued — every reply
         // channel must still resolve.
-        let (front, registry) = front(ShardConfig {
-            shards: 1,
-            batch_max: 2,
-            queue_capacity: 64,
-            ..Default::default()
-        });
+        let (front, registry) = front(ShardConfig { shards: 1, batch_max: 2, queue_capacity: 64 });
         let n = 32;
         let replies: Vec<_> = (0..n)
             .map(|i| {
@@ -1198,12 +800,7 @@ mod tests {
 
     #[test]
     fn batching_is_observable_and_bounded() {
-        let (front, registry) = front(ShardConfig {
-            shards: 1,
-            batch_max: 4,
-            queue_capacity: 64,
-            ..Default::default()
-        });
+        let (front, registry) = front(ShardConfig { shards: 1, batch_max: 4, queue_capacity: 64 });
         for _ in 0..3 {
             let _ = front.handle_tag_click(0, &[0]);
         }
@@ -1286,12 +883,7 @@ mod tests {
     #[test]
     fn batch_max_one_disables_batching() {
         let single = replica();
-        let (front, registry) = front(ShardConfig {
-            shards: 1,
-            batch_max: 1,
-            queue_capacity: 64,
-            ..Default::default()
-        });
+        let (front, registry) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 64 });
         for i in 0..6usize {
             let c = front.handle_tag_click(0, &[i % 4]);
             assert!(c.same_content(&single.handle_tag_click(0, &[i % 4])));
@@ -1310,12 +902,7 @@ mod tests {
         // degraded clicks, and an oversized click history — the partitioned
         // worker must answer each exactly like the single-process server.
         let single = replica();
-        let (front, _) = front(ShardConfig {
-            shards: 1,
-            batch_max: 16,
-            queue_capacity: 64,
-            ..Default::default()
-        });
+        let (front, _) = front(ShardConfig { shards: 1, batch_max: 16, queue_capacity: 64 });
         let oversized: Vec<usize> = (0..40).map(|i| i % 4).collect();
         let (q_job, q_rx) =
             job(Request::Question { tenant: 0, text: "cancel the order".into() }, None);
@@ -1369,74 +956,15 @@ mod tests {
     }
 
     #[test]
-    fn p2c_keeps_parity_and_spreads_one_hot_tenant() {
-        let single = replica();
-        let (front, registry) = front(ShardConfig {
-            shards: 2,
-            routing: RoutingPolicy::PowerOfTwoChoices,
-            ..Default::default()
-        });
-        // One hot tenant: under TenantHash every request would pin shard 0;
-        // under p2c the deterministic candidate sampling spreads them.
-        for i in 0..32u64 {
-            let c = front.handle_tag_click(0, &[(i % 4) as usize]);
-            assert!(c.same_content(&single.handle_tag_click(0, &[(i % 4) as usize])));
-        }
-        let q = front.handle_question(0, "how to change password");
-        assert!(q.same_content(&single.handle_question(0, "how to change password")));
-        assert_eq!(front.cold_start_tags(0), single.cold_start_tags(0));
-        for shard in ["0", "1"] {
-            let h = registry.histogram_labeled("sharded.request_us", &[("shard", shard)]);
-            assert!(h.count() > 0, "p2c never routed to shard {shard}");
-        }
-    }
-
-    #[test]
-    fn p2c_prefers_the_less_loaded_shard() {
-        let (front, _) = front(ShardConfig {
-            shards: 2,
-            routing: RoutingPolicy::PowerOfTwoChoices,
-            ..Default::default()
-        });
-        // Make shard 0 look deeply backlogged; with only two shards the
-        // candidate pair is always {0, 1}, so every route must pick 1.
-        front.shards[0].depth.store(1_000, Ordering::Relaxed);
-        for tenant in 0..8 {
-            for _ in 0..8 {
-                assert_eq!(front.route(tenant), 1);
-            }
-        }
-        front.shards[0].depth.store(0, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn pool_threads_knob_applies_globally_and_keeps_parity() {
-        // `pool_threads` sets the process-global tensor pool; answers must
-        // not change (pool size is a pure perf knob — kernels are pinned
-        // bit-identical across sizes by the tensor/nn parity suites).
-        let single = replica();
-        let (pooled, _) = front(ShardConfig { shards: 2, pool_threads: 2, ..Default::default() });
-        assert_eq!(intellitag_tensor::pool_threads(), 2);
-        for tenant in 0..2 {
-            let c = pooled.handle_tag_click(tenant, &[4 * tenant, 4 * tenant + 1]);
-            assert!(c.same_content(&single.handle_tag_click(tenant, &[4 * tenant, 4 * tenant + 1])));
-        }
-        pooled.shutdown();
-        intellitag_tensor::set_pool_threads(0);
-        // `pool_threads: 0` leaves the global setting untouched.
-        let before = intellitag_tensor::pool_threads();
-        let (front2, _) = front(ShardConfig { shards: 1, ..Default::default() });
-        assert_eq!(intellitag_tensor::pool_threads(), before);
-        front2.shutdown();
-    }
-
-    #[test]
     fn traced_request_gets_queue_drain_and_stage_spans() {
         let single = replica();
         let (front, _) = front(ShardConfig { shards: 1, ..Default::default() });
 
         let trace = TraceHandle::new(7);
-        let resp = front.handle_tag_click_traced(0, &[0, 1], &trace);
+        let request = Request::TagClick { tenant: 0, clicks: vec![0, 1] };
+        let Ok(Reply::TagClick(resp)) = front.call(request, Some(&trace), Admission::Block) else {
+            panic!("a click answers with a click reply")
+        };
         assert!(resp.same_content(&single.handle_tag_click(0, &[0, 1])), "tracing changed answers");
         let finished = trace.finish();
         let names: Vec<&str> = finished.spans.iter().map(|s| s.name).collect();
@@ -1455,7 +983,10 @@ mod tests {
         }
 
         let qtrace = TraceHandle::new(8);
-        let q = front.handle_question_traced(0, "how to change password", &qtrace);
+        let request = Request::Question { tenant: 0, text: "how to change password".into() };
+        let Ok(Reply::Question(q)) = front.call(request, Some(&qtrace), Admission::Block) else {
+            panic!("a question answers with a question reply")
+        };
         assert!(q.same_content(&single.handle_question(0, "how to change password")));
         let qnames: Vec<&str> = qtrace.finish().spans.iter().map(|s| s.name).collect();
         for expected in ["shard.queue", "drain", "recall"] {
@@ -1499,9 +1030,8 @@ mod tests {
     fn overload_sheds_tick_the_tenant_tiers_slo_counter() {
         // A one-deep queue with a tight client loop: enqueueing is orders of
         // magnitude faster than serving, so sheds appear within a few tries.
-        let (front, registry) =
-            front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1, ..Default::default() });
-        // `try_handle_*` waits for its reply, so one client can never fill
+        let (front, registry) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 });
+        // A shedding `call` waits for its reply, so one client can never fill
         // the queue on its own: stuff it with raw sends (replies parked),
         // then shed a real request while the worker is still backed up.
         // Filling is ~ns and serving is ~µs, so a few attempts suffice.
@@ -1515,7 +1045,8 @@ mod tests {
                     Err(_) => break, // queue full
                 }
             }
-            if matches!(front.try_handle_tag_click(1, &[0]), Err(ShedReason::Overloaded)) {
+            let request = Request::TagClick { tenant: 1, clicks: vec![0] };
+            if matches!(front.call(request, None, Admission::Shed), Err(ShedReason::Overloaded)) {
                 shed = true;
                 break;
             }
@@ -1543,8 +1074,9 @@ mod tests {
             vec![(0, vec![0]), (1, vec![4, 5]), (0, vec![1, 0]), (1, vec![5]), (0, vec![2])];
         let (queue, completions) = mpsc::channel();
         for (token, (tenant, clicks)) in cases.iter().enumerate() {
+            let request = Request::TagClick { tenant: *tenant, clicks: clicks.clone() };
             front
-                .submit_tag_click(*tenant, clicks, None, &queue, token as u64)
+                .submit(request, None, Admission::Shed, &queue, token as u64)
                 .expect("submit with room in the queue is accepted");
         }
         let mut seen = vec![false; cases.len()];
@@ -1564,8 +1096,9 @@ mod tests {
         // caller could see the reply.
         assert_eq!(front.front_latency_snapshot().count, cases.len() as u64);
         // Question and cold-start submissions resolve on the same queue.
-        front.submit_question(0, "how to change password", None, &queue, 70).unwrap();
-        front.submit_cold_start(1, &queue, 71).unwrap();
+        let question = Request::Question { tenant: 0, text: "how to change password".into() };
+        front.submit(question, None, Admission::Shed, &queue, 70).unwrap();
+        front.submit(Request::ColdStart { tenant: 1 }, None, Admission::Shed, &queue, 71).unwrap();
         for _ in 0..2 {
             match completions.recv().expect("completes") {
                 Completion { token: 70, reply: Some(Reply::Question(q)) } => {
@@ -1592,14 +1125,14 @@ mod tests {
         let done = completions.recv().expect("a dropped job still completes");
         assert!(done.reply.is_none());
         // A refused job, by contrast, stays silent: `Err` is the whole answer.
-        let (front, _) =
-            front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1, ..Default::default() });
+        let (front, _) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 });
         front.knobs().set_shed_depth(1);
         let (queue, completions) = mpsc::channel();
         let mut refused = 0;
         let mut accepted = 0;
         for token in 0..64 {
-            match front.submit_tag_click(0, &[0], None, &queue, token) {
+            let request = Request::TagClick { tenant: 0, clicks: vec![0] };
+            match front.submit(request, None, Admission::Shed, &queue, token) {
                 Ok(()) => accepted += 1,
                 Err(reason) => {
                     assert_eq!(reason, ShedReason::Overloaded);
@@ -1615,8 +1148,7 @@ mod tests {
 
     #[test]
     fn submit_sheds_on_a_full_queue_instead_of_blocking() {
-        let (front, registry) =
-            front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1, ..Default::default() });
+        let (front, registry) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 });
         let (queue, _completions) = mpsc::channel();
         // Park raw sends until the queue is full, then a submit must shed
         // (never block) and tick the tenant tier's slo.shed counter.
@@ -1630,7 +1162,10 @@ mod tests {
                     Err(_) => break,
                 }
             }
-            if front.submit_tag_click(1, &[0], None, &queue, 0) == Err(ShedReason::Overloaded) {
+            let request = Request::TagClick { tenant: 1, clicks: vec![0] };
+            if front.submit(request, None, Admission::Shed, &queue, 0)
+                == Err(ShedReason::Overloaded)
+            {
                 shed = true;
                 break;
             }
@@ -1646,8 +1181,7 @@ mod tests {
     fn tenant_hash_routing_is_static() {
         let (front, _) = front(ShardConfig { shards: 2, ..Default::default() });
         for tenant in 0..8 {
-            assert_eq!(front.route(tenant), tenant % 2);
-            assert_eq!(front.route(tenant), front.shard_for(tenant));
+            assert_eq!(front.shard_for(tenant), tenant % 2);
         }
     }
 
@@ -1693,7 +1227,7 @@ mod tests {
         let (factory_log, loader_log) = (Arc::clone(&log), Arc::clone(&log));
         let v1_factory = v1.clone();
         let front = ShardedServer::spawn_swappable(
-            ShardConfig { shards: 2, batch_max: 4, queue_capacity: 64, ..Default::default() },
+            ShardConfig { shards: 2, batch_max: 4, queue_capacity: 64 },
             registry.clone(),
             move |shard| {
                 server_with(VersionedModel {
@@ -1703,7 +1237,6 @@ mod tests {
                     log: Arc::clone(&factory_log),
                 })
                 .with_cache(32)
-                .with_score_lru(32)
                 .with_model_version(1)
             },
             swap.clone(),

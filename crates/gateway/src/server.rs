@@ -15,9 +15,9 @@
 //! connection (the frame magic `0xB1` collides with no HTTP method), and
 //! a binary connection is served by two halves that never poll: the worker
 //! blocks in `read`, dispatching request frames through
-//! [`TagService::submit_question`]-family calls with the connection's
-//! completion queue, and the writer half (a scoped thread once a request
-//! has had to wait for a shard) blocks on that queue, writing replies
+//! [`TagService::submit`] with the connection's completion queue, and the
+//! writer half (a scoped thread once a request has had to wait for a
+//! shard) blocks on that queue, writing replies
 //! **out of order** the moment the sharded front finishes them, matched to
 //! their requests by the client-chosen correlation id.
 //!
@@ -37,14 +37,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use intellitag_core::{Completion, CompletionQueue, Reply, ShedReason, TagService};
+use intellitag_core::{
+    Admission, Completion, CompletionQueue, Reply, Request, ShedReason, TagService,
+};
 use intellitag_obs::{
     parse_trace_id, MetricsRegistry, SpanTimer, TraceCollector, TraceConfig, TraceHandle,
     TraceIdGen,
 };
 
 use crate::codec::{self, Decoded, ErrorCode, FrameType};
-use crate::http::{read_request, HttpLimits, Request, Response};
+use crate::http::{self, read_request, HttpLimits, Response};
 use crate::json::{RecommendRequest, RecommendResponse};
 
 /// Tuning knobs for [`Gateway::spawn`].
@@ -107,6 +109,39 @@ pub trait EventSink: Send + Sync {
 
 /// The sink as it travels through the serving loops.
 type SharedSink = Option<Arc<dyn EventSink>>;
+
+/// The core request a decoded wire request asks for — shared by both
+/// codecs. The click route serves `clicks`; the recommend route serves the
+/// `question` when there is one and the tenant's cold-start tags otherwise.
+/// The payload moves; nothing is copied.
+fn to_request(click: bool, req: RecommendRequest) -> Request {
+    let tenant = req.tenant;
+    match (click, req.question) {
+        (true, _) => Request::TagClick { tenant, clicks: req.clicks },
+        (false, Some(text)) => Request::Question { tenant, text },
+        (false, None) => Request::ColdStart { tenant },
+    }
+}
+
+/// Logs a request the front accepted to its sink, if any. Cold starts
+/// carry no signal (no clicks, no question) and are not logged.
+fn log_event(event: Option<(&Arc<dyn EventSink>, Request)>) {
+    match event {
+        Some((sink, Request::TagClick { tenant, clicks })) => sink.tag_click(tenant, &clicks),
+        Some((sink, Request::Question { tenant, text })) => sink.question(tenant, &text),
+        _ => {}
+    }
+}
+
+/// The wire body for a front's reply — shared by both codecs. A cold start
+/// carries no latency of its own; it reports the gateway's `elapsed_us`.
+fn wire_response(reply: Reply, elapsed_us: u64) -> RecommendResponse {
+    match reply {
+        Reply::Question(r) => RecommendResponse::from_question(&r),
+        Reply::TagClick(r) => RecommendResponse::from_click(&r),
+        Reply::ColdStart(tags) => RecommendResponse::from_cold_start(tags, elapsed_us),
+    }
+}
 
 /// Gateway-side metric handles, all living in the shared registry.
 struct GatewayMetrics {
@@ -465,12 +500,7 @@ impl Inflight {
         let (elapsed, corr, tid) = (self.timer.elapsed_us(), self.corr_id, self.trace_id);
         let (status, frame) = match reply {
             Ok(reply) => {
-                let resp = match reply {
-                    Reply::Question(r) => RecommendResponse::from_question(&r),
-                    Reply::TagClick(r) => RecommendResponse::from_click(&r),
-                    Reply::ColdStart(tags) => RecommendResponse::from_cold_start(tags, elapsed),
-                };
-                (200, codec::encode_response_frame(corr, tid, &resp))
+                (200, codec::encode_response_frame(corr, tid, &wire_response(reply, elapsed)))
             }
             Err(why) => (503, codec::encode_error_frame(corr, tid, ErrorCode::ShuttingDown, why)),
         };
@@ -554,7 +584,7 @@ impl BinaryConn {
 
 /// Serves one binary-framed connection as two halves. This thread reads:
 /// it **blocks in `read`** (idle deadline only), decodes request frames and
-/// dispatches them through the `submit_*` surface, so the sharded front's
+/// dispatches them through [`TagService::submit`], so the sharded front's
 /// queue admission — and its shedding — applies per frame. The writer half
 /// **blocks on the connection's completion queue** and writes each reply
 /// the moment the front finishes it, in completion order, matched to its
@@ -812,9 +842,9 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
     /// the moment it exists. Returns `false` when the connection is ending.
     fn dispatch_frame(&mut self, frame: codec::Frame) -> bool {
         let ids = (frame.corr_id, frame.trace_id);
-        let route = match frame.frame_type {
-            FrameType::Recommend => "recommend_bin",
-            FrameType::Click => "click_bin",
+        let (route, click) = match frame.frame_type {
+            FrameType::Recommend => ("recommend_bin", false),
+            FrameType::Click => ("click_bin", true),
             // Response/Error frames flow server → client only.
             FrameType::Response | FrameType::Error => {
                 let why = "server accepts request frames only";
@@ -838,27 +868,15 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
             timer: SpanTimer::start(),
         };
         let Some(token) = self.park(Parked::Request(parked)) else { return false };
-        let (service, queue) = (self.service, &self.queue);
-        let submitted = match (frame.frame_type, &req.question) {
-            (FrameType::Click, _) => {
-                service.submit_tag_click(req.tenant, &req.clicks, Some(&trace), queue, token)
-            }
-            (_, Some(q)) => service.submit_question(req.tenant, q, Some(&trace), queue, token),
-            (_, None) => service.submit_cold_start(req.tenant, queue, token),
-        };
-        match (submitted, self.sink) {
+        let request = to_request(click, req);
+        let event = self.sink.as_ref().map(|sink| (sink, request.clone()));
+        match self.service.submit(request, Some(&trace), Admission::Shed, &self.queue, token) {
             // Log the event for the continuous-training loop once the
             // request is *accepted* (answered inline or riding the sharded
             // front) — shed frames never reached a model and must not train
-            // one. Cold starts carry no signal either: no clicks, no
-            // question.
-            (Ok(()), Some(sink)) => match (frame.frame_type, &req.question) {
-                (FrameType::Click, _) => sink.tag_click(req.tenant, &req.clicks),
-                (_, Some(q)) => sink.question(req.tenant, q),
-                (_, None) => {}
-            },
-            (Ok(()), None) => {}
-            (Err(reason), _) => {
+            // one.
+            Ok(()) => log_event(event),
+            Err(reason) => {
                 // Refused: no completion will come, so the reader completes
                 // the permit itself, the refusal in the request's place.
                 let mut st = self.conn.lock();
@@ -881,15 +899,16 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
 fn handle<S: TagService>(
     service: &S,
     metrics: &GatewayMetrics,
-    request: &Request,
+    request: &http::Request,
     sink: &SharedSink,
 ) -> (&'static str, Response) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/recommend") => {
-            ("recommend", traced(metrics, request, |t| recommend(service, request, t, sink)))
-        }
+        ("POST", "/v1/recommend") => (
+            "recommend",
+            traced(metrics, request, |t| model_route(service, request, false, t, sink)),
+        ),
         ("POST", "/v1/click") => {
-            ("click", traced(metrics, request, |t| click(service, request, t, sink)))
+            ("click", traced(metrics, request, |t| model_route(service, request, true, t, sink)))
         }
         ("GET", "/healthz") => (
             "healthz",
@@ -957,7 +976,7 @@ fn handle<S: TagService>(
 /// the id is echoed back in the response's `X-Trace-Id` header.
 fn traced(
     metrics: &GatewayMetrics,
-    request: &Request,
+    request: &http::Request,
     f: impl FnOnce(&TraceHandle) -> Response,
 ) -> Response {
     let trace = match request.header("x-trace-id") {
@@ -982,11 +1001,15 @@ fn bad_request(msg: &str) -> Response {
     )
 }
 
-/// `POST /v1/recommend`: with a `question`, the Q&A dialogue path; without
-/// one, the tenant's cold-start tags (§V-B of the paper).
-fn recommend<S: TagService>(
+/// `POST /v1/recommend` (with a `question`, the Q&A dialogue path; without
+/// one, the tenant's cold-start tags, §V-B of the paper) and `POST
+/// /v1/click` (the TagRec path over the clicked-tag trail), blocking on the
+/// front. A front that cannot serve the request (shutting down) answers
+/// `503`, as the binary codec does.
+fn model_route<S: TagService>(
     service: &S,
-    request: &Request,
+    request: &http::Request,
+    click: bool,
     trace: &TraceHandle,
     sink: &SharedSink,
 ) -> Response {
@@ -994,43 +1017,15 @@ fn recommend<S: TagService>(
         Ok(r) => r,
         Err(e) => return bad_request(&e),
     };
-    let wire = match &req.question {
-        Some(question) => {
-            let resp = service.handle_question_traced(req.tenant, question, trace);
-            if let Some(sink) = sink {
-                sink.question(req.tenant, question);
-            }
-            RecommendResponse::from_question(&resp)
+    let request = to_request(click, req);
+    let event = sink.as_ref().map(|sink| (sink, request.clone()));
+    let timer = SpanTimer::start();
+    match service.call(request, Some(trace), Admission::Block) {
+        Ok(reply) => {
+            log_event(event);
+            let wire = wire_response(reply, timer.elapsed_us());
+            Response::json(200, wire.to_json()).with_model_version(service.model_version())
         }
-        None => {
-            let timer = SpanTimer::start();
-            let t0 = trace.now_us();
-            let tags = service.cold_start_tags(req.tenant);
-            trace.record("cold_start", t0, trace.now_us());
-            RecommendResponse::from_cold_start(tags, timer.elapsed_us())
-        }
-    };
-    Response::json(200, wire.to_json()).with_model_version(service.model_version())
-}
-
-/// `POST /v1/click`: the TagRec path over the clicked-tag trail.
-fn click<S: TagService>(
-    service: &S,
-    request: &Request,
-    trace: &TraceHandle,
-    sink: &SharedSink,
-) -> Response {
-    let req = match RecommendRequest::from_json(&request.body) {
-        Ok(r) => r,
-        Err(e) => return bad_request(&e),
-    };
-    let wire = RecommendResponse::from_click(&service.handle_tag_click_traced(
-        req.tenant,
-        &req.clicks,
-        trace,
-    ));
-    if let Some(sink) = sink {
-        sink.tag_click(req.tenant, &req.clicks);
+        Err(_) => Response::json(503, "{\"error\":\"server draining\"}".into()),
     }
-    Response::json(200, wire.to_json()).with_model_version(service.model_version())
 }

@@ -17,14 +17,17 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use intellitag_core::{QuestionResponse, TagClickResponse, TagService};
+use intellitag_core::{
+    Admission, Completion, CompletionQueue, QuestionResponse, Reply, Request, ShedReason,
+    TagClickResponse, TagService,
+};
 use intellitag_gateway::codec::{self, Decoded, ErrorCode, Frame, FrameType};
 use intellitag_gateway::http::{read_request, read_response, HttpError, HttpLimits, Response};
 use intellitag_gateway::json::{self, JsonValue, RecommendRequest, RecommendResponse};
 use intellitag_gateway::{
     Gateway, GatewayClient, GatewayConfig, GatewayHandle, PipelinedClient, ReplyPayload,
 };
-use intellitag_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
+use intellitag_obs::{Histogram, HistogramSnapshot, MetricsRegistry, TraceHandle};
 use proptest::prelude::*;
 
 /// Splitmix64 — deterministic fuzz driver.
@@ -391,34 +394,52 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+impl EchoService {
+    fn answer(&self, request: Request) -> Reply {
+        match request {
+            Request::Question { tenant, text } => {
+                let h = text.bytes().fold(mix(tenant as u64), |a, b| mix(a ^ b as u64));
+                Reply::Question(QuestionResponse {
+                    rq: if h % 3 == 0 { None } else { Some((h % 977) as usize) },
+                    answer: if h % 4 == 0 {
+                        None
+                    } else {
+                        Some(format!("echo:{tenant}:{}", text.chars().rev().collect::<String>()))
+                    },
+                    recommended_tags: (0..(h % 5) as usize)
+                        .map(|i| ((h >> i) % 100) as usize)
+                        .collect(),
+                    latency_us: 7,
+                })
+            }
+            Request::TagClick { tenant, clicks } => {
+                let h = clicks.iter().fold(mix(tenant as u64 ^ 0xC11C), |a, &c| mix(a ^ c as u64));
+                Reply::TagClick(TagClickResponse {
+                    recommended_tags: clicks.iter().map(|&c| c.wrapping_add(tenant)).collect(),
+                    predicted_questions: (0..(h % 4) as usize)
+                        .map(|i| ((h >> (2 * i)) % 50) as usize)
+                        .collect(),
+                    latency_us: 9,
+                })
+            }
+            Request::ColdStart { tenant } => {
+                Reply::ColdStart((0..tenant % 7).map(|i| tenant.wrapping_add(i)).collect())
+            }
+        }
+    }
+}
+
 impl TagService for EchoService {
-    fn handle_question(&self, tenant: usize, question: &str) -> QuestionResponse {
-        let h = question.bytes().fold(mix(tenant as u64), |a, b| mix(a ^ b as u64));
-        QuestionResponse {
-            rq: if h % 3 == 0 { None } else { Some((h % 977) as usize) },
-            answer: if h % 4 == 0 {
-                None
-            } else {
-                Some(format!("echo:{tenant}:{}", question.chars().rev().collect::<String>()))
-            },
-            recommended_tags: (0..(h % 5) as usize).map(|i| ((h >> i) % 100) as usize).collect(),
-            latency_us: 7,
-        }
-    }
-
-    fn handle_tag_click(&self, tenant: usize, clicks: &[usize]) -> TagClickResponse {
-        let h = clicks.iter().fold(mix(tenant as u64 ^ 0xC11C), |a, &c| mix(a ^ c as u64));
-        TagClickResponse {
-            recommended_tags: clicks.iter().map(|&c| c.wrapping_add(tenant)).collect(),
-            predicted_questions: (0..(h % 4) as usize)
-                .map(|i| ((h >> (2 * i)) % 50) as usize)
-                .collect(),
-            latency_us: 9,
-        }
-    }
-
-    fn cold_start_tags(&self, tenant: usize) -> Vec<usize> {
-        (0..tenant % 7).map(|i| tenant.wrapping_add(i)).collect()
+    fn submit(
+        &self,
+        request: Request,
+        _trace: Option<&TraceHandle>,
+        _admission: Admission,
+        queue: &CompletionQueue,
+        token: u64,
+    ) -> Result<(), ShedReason> {
+        let _ = queue.send(Completion { token, reply: Some(self.answer(request)) });
+        Ok(())
     }
 
     fn metrics(&self) -> &MetricsRegistry {

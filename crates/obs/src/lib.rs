@@ -71,7 +71,8 @@ pub use runtime::{
     GOVERNOR_TICKS_METRIC,
 };
 pub use slo::{
-    tenant_tier, SloReport, TierSlo, SLO_LATENCY_METRIC, SLO_SHED_METRIC, SLO_TIER_LABEL,
+    tenant_tier, tier_index, SloReport, TierSlo, SLO_LATENCY_METRIC, SLO_SHED_METRIC,
+    SLO_TIER_LABEL,
 };
 pub use trace::{
     format_trace_id, parse_trace_id, FinishedTrace, TraceCollector, TraceConfig, TraceCtx,

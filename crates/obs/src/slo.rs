@@ -17,15 +17,19 @@ pub const SLO_SHED_METRIC: &str = "slo.shed";
 /// Label key carrying the tenant tier.
 pub const SLO_TIER_LABEL: &str = "tenant_tier";
 
-/// Maps a tenant id onto its service tier. The seed workload has no real
-/// billing data, so tiers are assigned round-robin — the point is that the
-/// *pipeline* (labeled series -> report) is tier-aware end to end.
+/// Maps a tenant id onto the index of its service tier (`0..3`) — the one
+/// tier rule; per-tier series bound as `[_; 3]` arrays are indexed by it.
+/// The seed workload has no real billing data, so tiers are assigned
+/// round-robin — the point is that the *pipeline* (labeled series ->
+/// report) is tier-aware end to end.
+pub fn tier_index(tenant_id: u64) -> usize {
+    (tenant_id % 3) as usize
+}
+
+/// The name of a tenant's service tier (the [`tier_index`]-th of `gold`,
+/// `silver`, `bronze`).
 pub fn tenant_tier(tenant_id: u64) -> &'static str {
-    match tenant_id % 3 {
-        0 => "gold",
-        1 => "silver",
-        _ => "bronze",
-    }
+    ["gold", "silver", "bronze"][tier_index(tenant_id)]
 }
 
 /// SLO summary for one tenant tier.
@@ -170,6 +174,7 @@ mod tests {
         assert_eq!(tenant_tier(1), "silver");
         assert_eq!(tenant_tier(2), "bronze");
         assert_eq!(tenant_tier(3), "gold");
+        assert_eq!((tier_index(4), tier_index(u64::MAX)), (1, 0));
     }
 
     #[test]

@@ -551,7 +551,7 @@ fn regime_run(
     println!("training checkpoint for `{name}` (batch_max = {batch_max}, pool = {pool}) ...");
     let factory_world = Arc::clone(world);
     let front = ShardedServer::spawn(
-        ShardConfig { shards: 1, batch_max, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards: 1, batch_max, queue_capacity: 64 },
         registry.clone(),
         move |_| build_server(&factory_world),
     );

@@ -127,16 +127,10 @@ fn main() {
 
     let registry = MetricsRegistry::new();
     let shards = if smoke { 2usize } else { 4usize };
-    println!("spawning a {shards}-shard IntelliTag front (power-of-two-choices routing) ...");
+    println!("spawning a {shards}-shard IntelliTag front ...");
     let factory_world = Arc::clone(&world);
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig {
-            shards,
-            batch_max: 8,
-            queue_capacity: 256,
-            routing: RoutingPolicy::PowerOfTwoChoices,
-            ..Default::default()
-        },
+        ShardConfig { shards, batch_max: 8, queue_capacity: 256 },
         registry.clone(),
         move |shard| {
             let server = build_replica(&factory_world);

@@ -84,16 +84,16 @@ fn main() {
     };
     println!("serving {} sessions ...", world.sessions.len());
     for session in &world.sessions {
+        let tenant = session.tenant;
         trace_request(&mut |t| {
-            let _ = server.handle_question_traced(
-                session.tenant,
-                &world.rqs[session.intent_rq].text(),
-                t,
-            );
+            let text = world.rqs[session.intent_rq].text();
+            let _ = server.call(Request::Question { tenant, text }, Some(t), Admission::Block);
         });
         for len in 1..=session.clicks.len() {
             trace_request(&mut |t| {
-                let _ = server.handle_tag_click_traced(session.tenant, &session.clicks[..len], t);
+                let clicks = session.clicks[..len].to_vec();
+                let _ =
+                    server.call(Request::TagClick { tenant, clicks }, Some(t), Admission::Block);
             });
         }
     }

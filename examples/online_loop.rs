@@ -97,7 +97,7 @@ fn main() {
     let (stack_f, stack_l, boot) =
         (Arc::clone(&stack), Arc::clone(&stack), Arc::clone(&base_bytes));
     let front = Arc::new(ShardedServer::spawn_swappable(
-        ShardConfig { shards: 2, batch_max: 4, queue_capacity: 256, ..Default::default() },
+        ShardConfig { shards: 2, batch_max: 4, queue_capacity: 256 },
         metrics.clone(),
         move |_shard| stack_f.server(stack_f.load(&boot)),
         swap.clone(),

@@ -60,7 +60,7 @@ fn main() {
     // ---- a 4-shard front under normal load ------------------------------
     println!("spawning a 4-shard front (batch_max 8, queue 256) ...");
     let registry = MetricsRegistry::new();
-    let cfg = ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256, ..Default::default() };
+    let cfg = ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256 };
     let front = spawn_front(&world, cfg, registry.clone());
     println!("policy: {} | tenant t is served by shard t % {}", front.policy(), cfg.shards);
 
@@ -128,9 +128,9 @@ fn main() {
     println!("front drained and joined cleanly");
 
     // ---- overload: a tiny queue sheds instead of blocking ----------------
-    println!("\noverloading a 1-shard front (batch_max 1, queue 1) with try_ traffic ...");
+    println!("\noverloading a 1-shard front (batch_max 1, queue 1) with shedding traffic ...");
     let overload_registry = MetricsRegistry::new();
-    let small = ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1, ..Default::default() };
+    let small = ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 };
     let overloaded = spawn_front(&world, small, overload_registry.clone());
     let (mut ok, mut shed) = (0u64, 0u64);
     std::thread::scope(|scope| {
@@ -141,7 +141,11 @@ fn main() {
                 let mut rng = Rng(client ^ 0xBEEF);
                 let (mut ok, mut shed) = (0u64, 0u64);
                 for _ in 0..100 {
-                    match front.try_handle_tag_click(rng.below(tenants), &[rng.below(4)]) {
+                    let request = Request::TagClick {
+                        tenant: rng.below(tenants),
+                        clicks: vec![rng.below(4)],
+                    };
+                    match front.call(request, None, Admission::Shed) {
                         Ok(_) => ok += 1,
                         Err(ShedReason::Overloaded) => shed += 1,
                         Err(ShedReason::ShuttingDown) => unreachable!("front is live"),

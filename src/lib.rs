@@ -67,9 +67,9 @@ pub mod prelude {
         SrGnn, TrainConfig,
     };
     pub use intellitag_core::{
-        evaluate_offline, simulate_online, Governor, GovernorConfig, GovernorRuntime, IntelliTag,
-        ModelServer, ModelSwap, ProtocolConfig, RoutingPolicy, RuntimeKnobs, ShardConfig,
-        ShardedServer, ShedReason, SimConfig, SwapPayload, TagRecConfig, TagService,
+        evaluate_offline, simulate_online, Admission, Governor, GovernorConfig, GovernorRuntime,
+        IntelliTag, ModelServer, ModelSwap, ProtocolConfig, Reply, Request, RuntimeKnobs,
+        ShardConfig, ShardedServer, ShedReason, SimConfig, SwapPayload, TagRecConfig, TagService,
     };
     pub use intellitag_datagen::{
         labeled_sentences, sequence_examples, split_sessions, Session, UserModel, World,

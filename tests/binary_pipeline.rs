@@ -150,8 +150,6 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
             // Small queues: 8 clients × 16 in flight = 128 outstanding
             // against 4×8 queue slots, so overload shedding must trigger.
             queue_capacity: 8,
-            routing: RoutingPolicy::TenantHash,
-            ..Default::default()
         },
         registry.clone(),
         move |_shard| factory_parts.build(),
@@ -305,7 +303,7 @@ fn mid_pipeline_shutdown_drains_inflight_without_hanging() {
     let registry = MetricsRegistry::new();
     let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 2, batch_max: 2, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards: 2, batch_max: 2, queue_capacity: 64 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     ));
@@ -479,7 +477,7 @@ fn gated_stack_with(
     let registry = MetricsRegistry::new();
     let factory_gate = Arc::clone(&gate);
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 2, batch_max: 1, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards: 2, batch_max: 1, queue_capacity: 64 },
         registry.clone(),
         move |shard| {
             let gate = (shard == 0).then(|| Arc::clone(&factory_gate));

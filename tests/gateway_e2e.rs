@@ -222,13 +222,7 @@ fn gateway_over_sharded_front_reconciles_under_concurrency() {
     let shards = 4usize;
     let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig {
-            shards,
-            batch_max: 4,
-            queue_capacity: 64,
-            routing: RoutingPolicy::PowerOfTwoChoices,
-            ..Default::default()
-        },
+        ShardConfig { shards, batch_max: 4, queue_capacity: 64 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     ));
@@ -388,7 +382,7 @@ fn client_trace_ids_round_trip_with_full_span_decomposition() {
     // the worker, so some drains carry several requests.
     let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 1, batch_max: 8, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards: 1, batch_max: 8, queue_capacity: 64 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     ));
@@ -573,7 +567,7 @@ fn debug_governor_endpoint_serves_live_state_or_absence() {
     let registry = MetricsRegistry::new();
     let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 1, batch_max: 4, queue_capacity: 32, ..Default::default() },
+        ShardConfig { shards: 1, batch_max: 4, queue_capacity: 32 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     ));
@@ -596,7 +590,7 @@ fn debug_governor_endpoint_serves_live_state_or_absence() {
     let registry = MetricsRegistry::new();
     let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 1, batch_max: 4, queue_capacity: 32, ..Default::default() },
+        ShardConfig { shards: 1, batch_max: 4, queue_capacity: 32 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     ));
@@ -633,5 +627,108 @@ fn debug_governor_endpoint_serves_live_state_or_absence() {
     );
 
     governor.stop();
+    handle.shutdown();
+}
+
+/// The span names of trace `id` in a `/debug/traces` export, in recorded
+/// order.
+fn span_names_of(traces: &str, id: u64) -> Vec<String> {
+    let needle = format!("\"trace_id\":\"{}\"", format_trace_id(id));
+    let line = traces
+        .lines()
+        .find(|l| l.contains(&needle))
+        .unwrap_or_else(|| panic!("trace {id:#x} not in /debug/traces:\n{traces}"));
+    spans_of(line).into_iter().map(|(name, ..)| name).collect()
+}
+
+/// A sharded front behind a gateway — the deployed stack.
+fn sharded_stack(parts: &ServerParts, registry: &MetricsRegistry) -> GatewayHandle {
+    let factory_parts = parts.clone();
+    let front = Arc::new(ShardedServer::spawn(
+        ShardConfig { shards: 2, batch_max: 8, queue_capacity: 256 },
+        registry.clone(),
+        move |_shard| factory_parts.build(),
+    ));
+    Gateway::spawn(
+        "127.0.0.1:0",
+        GatewayConfig { workers: 2, ..Default::default() },
+        registry,
+        move |_worker| Arc::clone(&front),
+    )
+    .expect("gateway binds")
+}
+
+#[test]
+fn both_codecs_trace_the_same_request_with_the_same_spans() {
+    let world = World::generate(WorldConfig::tiny(47));
+    let parts = ServerParts::from_world(&world);
+    let registry = MetricsRegistry::new();
+    let handle = sharded_stack(&parts, &registry);
+    let mut json = GatewayClient::new(handle.addr());
+    let mut bin = PipelinedClient::new(handle.addr(), 1, 1).with_timeout(Duration::from_secs(5));
+    let cases = [
+        RecommendRequest { tenant: 0, question: Some(world.rqs[0].text()), clicks: vec![] },
+        RecommendRequest { tenant: 1, question: None, clicks: vec![world.tenant_tag_pool(1)[0]] },
+        RecommendRequest { tenant: 0, question: None, clicks: vec![] },
+    ];
+    for (i, req) in cases.iter().enumerate() {
+        let (json_id, bin_id) = (0x5a11_0000 + i as u64, 0x5a12_0000 + i as u64);
+        let (_, echoed) = if req.clicks.is_empty() {
+            json.recommend_traced(req, json_id)
+        } else {
+            json.click_traced(req, json_id)
+        }
+        .expect("json answered");
+        assert_eq!(echoed, Some(json_id));
+        assert!(bin.round_trip(req, bin_id).expect("binary answered").payload.is_response());
+        let traces = json.debug_traces().expect("debug traces");
+        let via_json = span_names_of(&traces, json_id);
+        assert_eq!(via_json, span_names_of(&traces, bin_id), "case {i}: {req:?}");
+        assert_eq!(via_json.first().map(String::as_str), Some("shard.queue"), "case {i}");
+        assert_eq!(via_json.last().map(String::as_str), Some("gateway"), "case {i}");
+    }
+    // The cold start's lookup is a model stage, whichever codec carried it.
+    let traces = json.debug_traces().expect("debug traces");
+    let cold = span_names_of(&traces, 0x5a12_0002);
+    assert_eq!(cold, ["shard.queue", "cold_start", "drain", "gateway"]);
+    handle.shutdown();
+}
+
+#[test]
+fn out_of_range_tenants_over_the_wire_mint_no_metric_series() {
+    // Tenant ids are whatever a client sends: 10 000 distinct unknown ones
+    // must leave the registry — and so `/metrics` — exactly as large.
+    let world = World::generate(WorldConfig::tiny(53));
+    let parts = ServerParts::from_world(&world);
+    let registry = MetricsRegistry::new();
+    let handle = sharded_stack(&parts, &registry);
+    let mut bin = PipelinedClient::new(handle.addr(), 1, 64).with_timeout(Duration::from_secs(5));
+    let unknown = world.tenants.len();
+    let request = |i: usize| {
+        let tenant = unknown + i;
+        match i % 3 {
+            0 => RecommendRequest { tenant, question: Some("lost".into()), clicks: vec![] },
+            1 => RecommendRequest { tenant, question: None, clicks: vec![0] },
+            _ => RecommendRequest { tenant, question: None, clicks: vec![] },
+        }
+    };
+    // One request of each kind first, so every series these routes touch
+    // exists before counting.
+    for i in 0..3 {
+        assert!(bin.round_trip(&request(i), 0).expect("answered").payload.is_response());
+    }
+    let series = registry.names().len();
+    let mut answered = 0;
+    for window in (3..10_003).collect::<Vec<_>>().chunks(64) {
+        for &i in window {
+            bin.submit(&request(i), 0).expect("submit");
+        }
+        let done = bin.drain().expect("every frame answered");
+        assert!(done.iter().all(|c| c.payload.is_response()));
+        answered += done.len();
+    }
+    assert_eq!(answered, 10_000);
+    assert_eq!(registry.names().len(), series);
+    assert_eq!(registry.counter("serving.error.bad_tenant").get(), 10_003);
     handle.shutdown();
 }

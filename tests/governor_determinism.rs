@@ -260,7 +260,7 @@ fn parity_holds_while_governor_steps_mid_drain() {
     let registry = MetricsRegistry::new();
     let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 2, batch_max: 8, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards: 2, batch_max: 8, queue_capacity: 64 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     ));

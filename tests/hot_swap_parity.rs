@@ -142,7 +142,7 @@ fn hot_swap_under_concurrent_load_loses_nothing_and_reaches_snapshot_parity() {
     let (fx_f, fx_l) = (Arc::clone(&fx), Arc::clone(&fx));
     let base_for_factory = Arc::new(base_bytes);
     let front = ShardedServer::spawn_swappable(
-        ShardConfig { shards: 2, batch_max: 4, queue_capacity: 256, ..Default::default() },
+        ShardConfig { shards: 2, batch_max: 4, queue_capacity: 256 },
         metrics.clone(),
         move |_shard| fx_f.server(fx_f.load(&base_for_factory)),
         swap.clone(),
@@ -224,7 +224,7 @@ fn snapshot_artifact_survives_disk_and_swaps_into_a_booted_front() {
     let expected = answers(&fx.server(fx.load(&restored.bytes)), &stream);
     let (fx_f, fx_l) = (Arc::clone(&fx), Arc::clone(&fx));
     let front = ShardedServer::spawn_swappable(
-        ShardConfig { shards: 1, batch_max: 2, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards: 1, batch_max: 2, queue_capacity: 64 },
         metrics.clone(),
         move |_shard| fx_f.server(fx_f.train_base()),
         swap.clone(),

@@ -164,7 +164,7 @@ fn sharded_front_matches_single_process_across_knobs() {
     for shards in [1usize, 2, 4] {
         for batch_max in [1usize, 8] {
             let registry = MetricsRegistry::new();
-            let cfg = ShardConfig { shards, batch_max, queue_capacity: 64, ..Default::default() };
+            let cfg = ShardConfig { shards, batch_max, queue_capacity: 64 };
             let factory_parts = parts.clone();
             let front =
                 ShardedServer::spawn(cfg, registry.clone(), move |_shard| factory_parts.build());
@@ -188,7 +188,7 @@ fn same_content_parity_holds_per_response() {
     let registry = MetricsRegistry::new();
     let factory_parts = parts.clone();
     let front = ShardedServer::spawn(
-        ShardConfig { shards: 4, batch_max: 8, queue_capacity: 32, ..Default::default() },
+        ShardConfig { shards: 4, batch_max: 8, queue_capacity: 32 },
         registry,
         move |_shard| factory_parts.build(),
     );
@@ -267,7 +267,7 @@ fn intellitag_replicas_match_single_process_across_knobs() {
     for shards in [1usize, 2] {
         for batch_max in [1usize, 8] {
             let registry = MetricsRegistry::new();
-            let cfg = ShardConfig { shards, batch_max, queue_capacity: 64, ..Default::default() };
+            let cfg = ShardConfig { shards, batch_max, queue_capacity: 64 };
             let w = std::sync::Arc::clone(&world);
             let front =
                 ShardedServer::spawn(cfg, registry, move |_shard| build_intellitag_server(&w));
@@ -306,7 +306,7 @@ fn concurrent_clients_keep_parity_and_fill_batches() {
         let registry = MetricsRegistry::new();
         let factory_parts = parts.clone();
         let front = ShardedServer::spawn(
-            ShardConfig { shards: 1, batch_max: 8, queue_capacity: 256, ..Default::default() },
+            ShardConfig { shards: 1, batch_max: 8, queue_capacity: 256 },
             registry.clone(),
             move |_shard| factory_parts.build(),
         );
@@ -362,7 +362,7 @@ fn all_question_stream_records_no_click_batches() {
     let registry = MetricsRegistry::new();
     let factory_parts = parts.clone();
     let front = ShardedServer::spawn(
-        ShardConfig { shards, batch_max: 8, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards, batch_max: 8, queue_capacity: 64 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     );
@@ -387,7 +387,7 @@ fn per_shard_series_render_in_prometheus_output() {
     let shards = 3usize;
     let factory_parts = parts.clone();
     let front = ShardedServer::spawn(
-        ShardConfig { shards, batch_max: 4, queue_capacity: 64, ..Default::default() },
+        ShardConfig { shards, batch_max: 4, queue_capacity: 64 },
         registry.clone(),
         move |_shard| factory_parts.build(),
     );

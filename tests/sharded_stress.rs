@@ -53,7 +53,7 @@ fn stress_answers_every_request_exactly_once() {
     // A deliberately tiny queue so the non-blocking senders hit Overloaded.
     let front = build_front(
         &world,
-        ShardConfig { shards, batch_max: 4, queue_capacity: 2, ..Default::default() },
+        ShardConfig { shards, batch_max: 4, queue_capacity: 2 },
         registry.clone(),
     );
 
@@ -80,9 +80,14 @@ fn stress_answers_every_request_exactly_once() {
                     // Half the traffic is non-blocking (may shed), half
                     // blocking (applies backpressure, never sheds).
                     match rng.below(4) {
-                        0 => match front
-                            .try_handle_question(tenant, &questions[rng.below(questions.len())])
-                        {
+                        0 => match front.call(
+                            Request::Question {
+                                tenant,
+                                text: questions[rng.below(questions.len())].clone(),
+                            },
+                            None,
+                            Admission::Shed,
+                        ) {
                             Ok(_) => {
                                 answered_q.fetch_add(1, Ordering::Relaxed);
                             }
@@ -91,7 +96,11 @@ fn stress_answers_every_request_exactly_once() {
                             }
                             Err(ShedReason::ShuttingDown) => panic!("front is live"),
                         },
-                        1 => match front.try_handle_tag_click(tenant, &[rng.below(num_tags)]) {
+                        1 => match front.call(
+                            Request::TagClick { tenant, clicks: vec![rng.below(num_tags)] },
+                            None,
+                            Admission::Shed,
+                        ) {
                             Ok(_) => {
                                 answered_c.fetch_add(1, Ordering::Relaxed);
                             }
@@ -161,7 +170,7 @@ fn per_shard_shed_counters_sum_to_total() {
     let shards = 4usize;
     let front = build_front(
         &world,
-        ShardConfig { shards, batch_max: 1, queue_capacity: 1, ..Default::default() },
+        ShardConfig { shards, batch_max: 1, queue_capacity: 1 },
         registry.clone(),
     );
     let tenants = world.tenants.len();
@@ -172,7 +181,11 @@ fn per_shard_shed_counters_sum_to_total() {
             scope.spawn(move || {
                 let mut rng = Rng(0xBEEF ^ (client as u64) << 17);
                 for _ in 0..100 {
-                    let _ = front.try_handle_tag_click(rng.below(tenants), &[rng.below(8)]);
+                    let request = Request::TagClick {
+                        tenant: rng.below(tenants),
+                        clicks: vec![rng.below(8)],
+                    };
+                    let _ = front.call(request, None, Admission::Shed);
                 }
             });
         }
