@@ -35,7 +35,6 @@
 mod cache;
 mod config;
 mod experiment;
-mod governor;
 mod graph_layers;
 mod model;
 mod plan;
@@ -47,7 +46,6 @@ mod simulator;
 pub use cache::ResponseCache;
 pub use config::{TagRecConfig, TrainConfig};
 pub use experiment::{evaluate_offline, ProtocolConfig};
-pub use governor::{Decision, Governor, GovernorConfig, GovernorRuntime, KnobBounds, Observation};
 pub use graph_layers::GraphLayers;
 pub use model::IntelliTag;
 pub use qa_matcher::{QaMatcher, QaMatcherConfig};
@@ -55,5 +53,5 @@ pub use serving::{
     Admission, Completion, CompletionQueue, ModelServer, QuestionResponse, Reply, Request,
     TagClickResponse, TagService, RECENT_LATENCY_WINDOW,
 };
-pub use sharded::{ModelSwap, RuntimeKnobs, ShardConfig, ShardedServer, ShedReason, SwapPayload};
+pub use sharded::{ModelSwap, ShardConfig, ShardedServer, ShedReason, SwapPayload};
 pub use simulator::{simulate_online, DayMetrics, SimConfig, SimOutcome};

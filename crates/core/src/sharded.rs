@@ -27,7 +27,7 @@
 //! `sharded.shed` counters, while the inner servers' `serving.*` metrics
 //! aggregate across shards in the same registry.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -60,68 +60,6 @@ pub struct ShardConfig {
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256 }
-    }
-}
-
-/// The front's *runtime-adjustable* throughput knobs, shared between the
-/// client side (shedding admission), every shard worker (per-drain
-/// `batch_max` load), and the governor that steps them. Construction-time
-/// [`ShardConfig`] values seed these; everything after that is atomic, so
-/// the governor can retune a live front without pausing a single drain.
-///
-/// Both knobs are pure performance knobs: every drain still serves its
-/// whole batch with one model version and the batched path is bit-exact
-/// versus serial, so stepping them never changes answers — only how work
-/// is grouped and when overload sheds begin.
-#[derive(Debug)]
-pub struct RuntimeKnobs {
-    /// Live micro-batch ceiling; workers load this at each drain top.
-    batch_max: AtomicUsize,
-    /// Soft admission limit: [`Admission::Shed`] submissions shed once a
-    /// shard's live depth exceeds this, *before* the physical queue is full.
-    shed_depth: AtomicUsize,
-    /// Physical per-shard queue capacity — the immutable upper bound for
-    /// both knobs (mpsc queues cannot be regrown in place).
-    queue_capacity: usize,
-}
-
-impl RuntimeKnobs {
-    /// Seeds the knobs from construction-time values. `shed_depth` starts
-    /// at `queue_capacity` (no soft shedding until the governor says so).
-    pub fn new(batch_max: usize, queue_capacity: usize) -> Self {
-        assert!(batch_max >= 1, "batch_max must be at least 1");
-        assert!(queue_capacity >= 1, "queue_capacity must be at least 1");
-        RuntimeKnobs {
-            batch_max: AtomicUsize::new(batch_max.min(queue_capacity)),
-            shed_depth: AtomicUsize::new(queue_capacity),
-            queue_capacity,
-        }
-    }
-
-    /// Current micro-batch ceiling.
-    pub fn batch_max(&self) -> usize {
-        self.batch_max.load(Ordering::Relaxed)
-    }
-
-    /// Sets the micro-batch ceiling, clamped to `[1, queue_capacity]`.
-    /// Takes effect at each worker's next drain.
-    pub fn set_batch_max(&self, n: usize) {
-        self.batch_max.store(n.clamp(1, self.queue_capacity), Ordering::Relaxed);
-    }
-
-    /// Current soft admission limit for the shedding request paths.
-    pub fn shed_depth(&self) -> usize {
-        self.shed_depth.load(Ordering::Relaxed)
-    }
-
-    /// Sets the soft admission limit, clamped to `[1, queue_capacity]`.
-    pub fn set_shed_depth(&self, n: usize) {
-        self.shed_depth.store(n.clamp(1, self.queue_capacity), Ordering::Relaxed);
-    }
-
-    /// The immutable physical queue capacity both knobs are bounded by.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
     }
 }
 
@@ -323,8 +261,6 @@ pub struct ShardedServer {
     /// at their own drain boundaries, so individual replicas may trail this
     /// for one drain during a rollout).
     applied_version: Arc<AtomicU64>,
-    /// Live knobs shared with every worker (and the governor, if any).
-    knobs: Arc<RuntimeKnobs>,
 }
 
 impl ShardedServer {
@@ -389,7 +325,8 @@ impl ShardedServer {
         let factory = Arc::new(factory);
         let (ready_tx, ready_rx) = mpsc::channel::<(String, u64)>();
         let applied_version = Arc::new(AtomicU64::new(0));
-        let knobs = Arc::new(RuntimeKnobs::new(cfg.batch_max, cfg.queue_capacity));
+        // A drain takes at most one queue's worth of requests.
+        let batch_max = cfg.batch_max.min(cfg.queue_capacity);
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         for shard_id in 0..cfg.shards {
@@ -414,7 +351,6 @@ impl ShardedServer {
             };
             let (factory, registry, ready_tx) =
                 (Arc::clone(&factory), registry.clone(), ready_tx.clone());
-            let worker_knobs = Arc::clone(&knobs);
             let worker_swap = swap.as_ref().map(|(s, l)| WorkerSwap {
                 swap: s.clone(),
                 loader: Arc::clone(l),
@@ -434,7 +370,7 @@ impl ShardedServer {
                         // only strictly newer snapshots swap in.
                         ctx.seen = server.model_version();
                     }
-                    worker_loop(server, rx, worker_metrics, worker_knobs, worker_swap);
+                    worker_loop(server, rx, worker_metrics, batch_max, worker_swap);
                 })
                 .expect("spawn shard worker");
             shards.push(shard);
@@ -461,15 +397,7 @@ impl ShardedServer {
             registry,
             config: cfg,
             applied_version,
-            knobs,
         }
-    }
-
-    /// The front's live runtime knobs — hand a clone to the governor (or
-    /// poke them directly in tests). Stepping them mid-flight is safe and
-    /// never changes answers.
-    pub fn knobs(&self) -> Arc<RuntimeKnobs> {
-        Arc::clone(&self.knobs)
     }
 
     /// The shard that serves a tenant: `tenant % shards`, the front's one
@@ -509,17 +437,13 @@ impl ShardedServer {
 
     /// Hands a job to a shard's queue. [`Admission::Block`] waits for room
     /// (backpressure) and fails only when the worker is gone;
-    /// [`Admission::Shed`] never waits — it sheds when the shard's live
-    /// depth exceeds the governed soft limit ([`RuntimeKnobs::shed_depth`])
-    /// or the physical queue is full. A refused job's reply half is
-    /// disarmed: the caller learns the outcome from the `Err` alone.
+    /// [`Admission::Shed`] never waits — it sheds when the shard's queue is
+    /// full. A refused job's reply half is disarmed: the caller learns the
+    /// outcome from the `Err` alone.
     fn admit(&self, admission: Admission, shard: usize, job: Job) -> Result<(), ShedReason> {
         let shard = &self.shards[shard];
         let depth = shard.depth.fetch_add(1, Ordering::Relaxed) + 1;
         let sent = match admission {
-            Admission::Shed if depth > self.knobs.shed_depth() as i64 => {
-                Err(TrySendError::Full(job))
-            }
             Admission::Shed => shard.tx.try_send(job),
             Admission::Block => shard.tx.send(job).map_err(|e| TrySendError::Disconnected(e.0)),
         };
@@ -622,15 +546,11 @@ fn worker_loop<M: SequenceRecommender>(
     mut server: ModelServer<M>,
     rx: Receiver<Job>,
     metrics: WorkerMetrics,
-    knobs: Arc<RuntimeKnobs>,
+    batch_max: usize,
     mut swap: Option<WorkerSwap<M>>,
 ) {
-    let mut batch = Vec::with_capacity(knobs.batch_max());
+    let mut batch = Vec::with_capacity(batch_max);
     while let Ok(first) = rx.recv() {
-        // The live batch ceiling is re-read at every drain top, so a
-        // governor step lands at the next drain boundary — the same fence
-        // discipline model hot-swaps use.
-        let batch_max = knobs.batch_max();
         batch.push(first);
         while batch.len() < batch_max {
             match rx.try_recv() {
@@ -830,7 +750,7 @@ mod tests {
             processed: registry.counter_labeled("sharded.processed", &labels),
             front_latency: registry.histogram_labeled("sharded.request_us", &labels),
         };
-        worker_loop(server, rx, metrics, Arc::new(RuntimeKnobs::new(batch_max, 64)), None);
+        worker_loop(server, rx, metrics, batch_max, None);
         registry
     }
 
@@ -1126,7 +1046,6 @@ mod tests {
         assert!(done.reply.is_none());
         // A refused job, by contrast, stays silent: `Err` is the whole answer.
         let (front, _) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 });
-        front.knobs().set_shed_depth(1);
         let (queue, completions) = mpsc::channel();
         let mut refused = 0;
         let mut accepted = 0;

@@ -150,15 +150,6 @@ impl GatewayClient {
             .map_err(|_| ClientError::Decode("trace body is not UTF-8".into()))
     }
 
-    /// `GET /debug/governor`: the governor's current `governor.*` series
-    /// followed by its retained decision lines, or "no governor running"
-    /// when the gateway was spawned without one.
-    pub fn debug_governor(&mut self) -> Result<String, ClientError> {
-        let resp = self.send("GET", "/debug/governor", None, None)?;
-        String::from_utf8(resp.body)
-            .map_err(|_| ClientError::Decode("governor body is not UTF-8".into()))
-    }
-
     /// `GET /healthz`, returning the raw body on success.
     pub fn healthz(&mut self) -> Result<String, ClientError> {
         let resp = self.send("GET", "/healthz", None, None)?;

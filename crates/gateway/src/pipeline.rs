@@ -169,8 +169,8 @@ impl PipelinedClient {
     /// Submits one request without waiting for its reply; returns the
     /// frame's correlation id. `trace_id` of 0 lets the server mint one.
     ///
-    /// When every pooled connection is at `max_inflight`, blocks until a
-    /// completion frees a slot (the completion is queued for
+    /// When every pooled connection is at `max_inflight`, reads replies off
+    /// the sockets until one frees a slot (what it reads is queued for
     /// [`Self::next_completion`]).
     pub fn submit(&mut self, req: &RecommendRequest, trace_id: u64) -> Result<u64, PipelineError> {
         loop {
@@ -198,11 +198,7 @@ impl PipelinedClient {
                 if let Err(e) = write_res {
                     // The socket died under us; fail its in-flight frames
                     // (queued as completions) and retry on a fresh one.
-                    if let Some(c) =
-                        self.fail_conn(slot, ErrorCode::ShuttingDown, &format!("write failed: {e}"))
-                    {
-                        self.done.push_back(c);
-                    }
+                    self.fail_conn(slot, ErrorCode::ShuttingDown, &format!("write failed: {e}"));
                     continue;
                 }
                 let conn = self.conns[slot].as_mut().expect("picked conn exists");
@@ -210,19 +206,19 @@ impl PipelinedClient {
                 self.next_submit += 1;
                 return Ok(corr_id);
             }
-            // Pool saturated: progress requires absorbing a reply.
-            let c = self.wait_any_completion()?;
-            self.done.push_back(c);
+            // Pool saturated: only a frame leaving flight frees a slot. A
+            // completion already queued frees none, so read the sockets.
+            self.read_completions()?;
         }
     }
 
     /// The next finished request, in completion order. Returns queued
     /// completions first, then waits (bounded by the client timeout).
     pub fn next_completion(&mut self) -> Result<Completion, PipelineError> {
-        if let Some(c) = self.done.pop_front() {
-            return Ok(c);
+        if self.done.is_empty() {
+            self.read_completions()?;
         }
-        self.wait_any_completion()
+        Ok(self.done.pop_front().expect("a read completes at least one frame"))
     }
 
     /// Collects completions until nothing is left in flight.
@@ -242,19 +238,15 @@ impl PipelinedClient {
         trace_id: u64,
     ) -> Result<Completion, PipelineError> {
         let corr_id = self.submit(req, trace_id)?;
-        if let Some(at) = self.done.iter().position(|c| c.corr_id == corr_id) {
-            return Ok(self.done.remove(at).expect("position just found"));
-        }
         let deadline = Instant::now() + self.timeout;
         loop {
-            let c = self.wait_any_completion()?;
-            if c.corr_id == corr_id {
-                return Ok(c);
+            if let Some(at) = self.done.iter().position(|c| c.corr_id == corr_id) {
+                return Ok(self.done.remove(at).expect("position just found"));
             }
-            self.done.push_back(c);
             if Instant::now() >= deadline {
                 return Err(PipelineError::Timeout);
             }
+            self.read_completions()?;
         }
     }
 
@@ -285,28 +277,28 @@ impl PipelinedClient {
         Ok(None)
     }
 
-    /// Blocks until any connection yields a completion (or the timeout
-    /// expires). With one connection owing replies it blocks in `read` on
-    /// that socket until the deadline; with several it round-robins short
-    /// reads across them.
-    fn wait_any_completion(&mut self) -> Result<Completion, PipelineError> {
-        if self.in_flight() == 0 {
+    /// Reads the sockets until at least one frame in flight completes (or
+    /// the timeout expires), queuing every completion on `self.done`. Each
+    /// one frees its slot. With one connection owing replies it blocks in
+    /// `read` on that socket until the deadline; with several it
+    /// round-robins short reads across them.
+    fn read_completions(&mut self) -> Result<(), PipelineError> {
+        let owed = self.in_flight();
+        if owed == 0 {
             return Err(PipelineError::Protocol("nothing in flight to wait for".into()));
         }
         // Uncork first: a reply can only arrive for a frame the server has
         // actually seen.
         self.flush_corks();
-        if let Some(c) = self.done.pop_front() {
-            return Ok(c);
-        }
         let deadline = Instant::now() + self.timeout;
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let owing = self.conns.iter().flatten().filter(|c| !c.inflight.is_empty()).count();
             for slot in 0..self.conns.len() {
                 // Parse anything already buffered before touching the socket.
-                if let Some(c) = self.parse_conn(slot)? {
-                    return Ok(c);
+                self.parse_conn(slot)?;
+                if self.in_flight() < owed {
+                    return Ok(());
                 }
                 let Some(conn) = self.conns[slot].as_mut() else { continue };
                 if conn.inflight.is_empty() {
@@ -322,23 +314,17 @@ impl PipelinedClient {
                     conn.read_timeout = Some(wait);
                 }
                 match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        // Clean EOF with frames outstanding: the server
-                        // drained mid-pipeline. Surface each as a typed
-                        // ShuttingDown completion.
-                        if let Some(c) = self.fail_conn(
-                            slot,
-                            ErrorCode::ShuttingDown,
-                            "connection closed with frames in flight",
-                        ) {
-                            return Ok(c);
-                        }
-                    }
+                    // Clean EOF with frames outstanding: the server drained
+                    // mid-pipeline. Surface each as a typed ShuttingDown
+                    // completion.
+                    Ok(0) => self.fail_conn(
+                        slot,
+                        ErrorCode::ShuttingDown,
+                        "connection closed with frames in flight",
+                    ),
                     Ok(n) => {
                         conn.buf.extend_from_slice(&chunk[..n]);
-                        if let Some(c) = self.parse_conn(slot)? {
-                            return Ok(c);
-                        }
+                        self.parse_conn(slot)?;
                     }
                     Err(e)
                         if matches!(
@@ -346,18 +332,12 @@ impl PipelinedClient {
                             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                         ) => {}
                     Err(e) => {
-                        if let Some(c) = self.fail_conn(
-                            slot,
-                            ErrorCode::ShuttingDown,
-                            &format!("read failed: {e}"),
-                        ) {
-                            return Ok(c);
-                        }
+                        self.fail_conn(slot, ErrorCode::ShuttingDown, &format!("read failed: {e}"))
                     }
                 }
-            }
-            if let Some(c) = self.done.pop_front() {
-                return Ok(c);
+                if self.in_flight() < owed {
+                    return Ok(());
+                }
             }
             if Instant::now() >= deadline {
                 return Err(PipelineError::Timeout);
@@ -365,14 +345,13 @@ impl PipelinedClient {
         }
     }
 
-    /// Decodes buffered reply frames on `slot`. Returns the first
-    /// completion produced (extras are queued on `self.done`).
-    fn parse_conn(&mut self, slot: usize) -> Result<Option<Completion>, PipelineError> {
-        let mut first: Option<Completion> = None;
+    /// Decodes buffered reply frames on `slot`, queuing each completion on
+    /// `self.done`.
+    fn parse_conn(&mut self, slot: usize) -> Result<(), PipelineError> {
         loop {
-            let Some(conn) = self.conns[slot].as_mut() else { return Ok(first) };
+            let Some(conn) = self.conns[slot].as_mut() else { return Ok(()) };
             if conn.buf.is_empty() {
-                return Ok(first);
+                return Ok(());
             }
             // An accept-level shed beats the sniffer: the gateway wrote an
             // ASCII HTTP 503 on what we treat as a binary socket. Map every
@@ -381,15 +360,15 @@ impl PipelinedClient {
                 let preamble =
                     String::from_utf8_lossy(&conn.buf[..conn.buf.len().min(32)]).into_owned();
                 if preamble.starts_with("HTTP/") {
-                    let c = self.fail_conn(slot, ErrorCode::Shed, "gateway saturated (HTTP 503)");
-                    return Ok(first.or(c));
+                    self.fail_conn(slot, ErrorCode::Shed, "gateway saturated (HTTP 503)");
+                    return Ok(());
                 }
                 return Err(PipelineError::Protocol(format!(
                     "reply stream is not framed (starts with {preamble:?})"
                 )));
             }
             match codec::decode_frame(&conn.buf, codec::MAX_PAYLOAD) {
-                Decoded::NeedMore => return Ok(first),
+                Decoded::NeedMore => return Ok(()),
                 Decoded::Fatal(e) => {
                     return Err(PipelineError::Protocol(format!("server sent {e}")));
                 }
@@ -414,12 +393,12 @@ impl PipelinedClient {
                                 if frame.corr_id == 0 {
                                     // Correlation 0 = the server condemned
                                     // the whole stream, not one request.
-                                    let c = self.fail_conn(
+                                    self.fail_conn(
                                         slot,
                                         err.code,
                                         &format!("stream error: {}", err.message),
                                     );
-                                    return Ok(first.or(c));
+                                    return Ok(());
                                 }
                                 ReplyPayload::Error(err)
                             }
@@ -447,19 +426,14 @@ impl PipelinedClient {
                             ))
                         })?;
                     let (corr_id, submit_seq) = conn.inflight.remove(at);
-                    let completion = Completion {
+                    self.done.push_back(Completion {
                         corr_id,
                         trace_id: frame.trace_id,
                         submit_seq,
                         complete_seq: self.next_complete,
                         payload,
-                    };
+                    });
                     self.next_complete += 1;
-                    if first.is_none() {
-                        first = Some(completion);
-                    } else {
-                        self.done.push_back(completion);
-                    }
                 }
             }
         }
@@ -481,37 +455,24 @@ impl PipelinedClient {
                 _ => continue,
             };
             if let Err(e) = res {
-                if let Some(c) =
-                    self.fail_conn(slot, ErrorCode::ShuttingDown, &format!("write failed: {e}"))
-                {
-                    self.done.push_back(c);
-                }
+                self.fail_conn(slot, ErrorCode::ShuttingDown, &format!("write failed: {e}"));
             }
         }
     }
 
     /// Tears down connection `slot`, converting each of its in-flight
-    /// frames into an error completion with `code`. Returns the first such
-    /// completion (extras queue on `self.done`); `None` if none were in
-    /// flight.
-    fn fail_conn(&mut self, slot: usize, code: ErrorCode, message: &str) -> Option<Completion> {
-        let conn = self.conns[slot].take()?;
-        let mut first = None;
+    /// frames into an error completion with `code` queued on `self.done`.
+    fn fail_conn(&mut self, slot: usize, code: ErrorCode, message: &str) {
+        let Some(conn) = self.conns[slot].take() else { return };
         for (corr_id, submit_seq) in conn.inflight {
-            let completion = Completion {
+            self.done.push_back(Completion {
                 corr_id,
                 trace_id: 0,
                 submit_seq,
                 complete_seq: self.next_complete,
                 payload: ReplyPayload::Error(ErrorFrame { code, message: message.to_string() }),
-            };
+            });
             self.next_complete += 1;
-            if first.is_none() {
-                first = Some(completion);
-            } else {
-                self.done.push_back(completion);
-            }
         }
-        first
     }
 }

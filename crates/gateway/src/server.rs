@@ -68,11 +68,6 @@ pub struct GatewayConfig {
     /// Most request frames a single binary connection may have in flight
     /// before the serve loop stops reading and applies backpressure.
     pub binary_inflight: usize,
-    /// The runtime governor's shared decision log, when this process runs
-    /// one — served at `GET /debug/governor` so operators can read the
-    /// live knob-step history. `None` renders the endpoint as "no governor
-    /// running".
-    pub governor: Option<intellitag_obs::DecisionLog>,
 }
 
 impl Default for GatewayConfig {
@@ -84,7 +79,6 @@ impl Default for GatewayConfig {
             write_timeout: Duration::from_millis(2_000),
             limits: HttpLimits::default(),
             binary_inflight: 128,
-            governor: None,
         }
     }
 }
@@ -155,12 +149,10 @@ struct GatewayMetrics {
     traces: TraceCollector,
     /// Trace ids minted for requests arriving without an `X-Trace-Id`.
     trace_ids: TraceIdGen,
-    /// The governor's decision log, served at `GET /debug/governor`.
-    governor: Option<intellitag_obs::DecisionLog>,
 }
 
 impl GatewayMetrics {
-    fn bind(registry: &MetricsRegistry, governor: Option<intellitag_obs::DecisionLog>) -> Self {
+    fn bind(registry: &MetricsRegistry) -> Self {
         GatewayMetrics {
             registry: registry.clone(),
             conns_active: registry.gauge("gateway.connections"),
@@ -169,7 +161,6 @@ impl GatewayMetrics {
             shed: registry.counter("gateway.shed"),
             traces: TraceCollector::new(registry, TraceConfig::default()),
             trace_ids: TraceIdGen::new(0x17e1_117a_6000_0001),
-            governor,
         }
     }
 
@@ -247,7 +238,7 @@ impl Gateway {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let metrics = Arc::new(GatewayMetrics::bind(registry, cfg.governor.clone()));
+        let metrics = Arc::new(GatewayMetrics::bind(registry));
         let shutdown = Arc::new(AtomicBool::new(false));
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.pending_connections);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
@@ -931,39 +922,10 @@ fn handle<S: TagService>(
             let body = metrics.traces.export_json_lines();
             ("debug_traces", Response::text(200, &body))
         }
-        ("GET", "/debug/governor") => {
-            // Governor state: the live governor.* series (ticks, per-knob
-            // step counts, current knob values) followed by the retained
-            // decision lines — the same replayable log the determinism
-            // contract is stated over.
-            let body = match &metrics.governor {
-                Some(log) => {
-                    let mut out = String::new();
-                    for name in metrics.registry.names() {
-                        if name.starts_with("governor.") {
-                            match metrics.registry.get(&name) {
-                                Some(intellitag_obs::Metric::Counter(c)) => {
-                                    out.push_str(&format!("{name} {}\n", c.get()));
-                                }
-                                Some(intellitag_obs::Metric::Gauge(g)) => {
-                                    out.push_str(&format!("{name} {}\n", g.get()));
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    out.push('\n');
-                    out.push_str(&log.render_text());
-                    out
-                }
-                None => "no governor running\n".to_string(),
-            };
-            ("debug_governor", Response::text(200, &body))
-        }
         // Known path, wrong method (any method, not just the two we
         // speak): 405 naming the allowed method, never a misleading 404.
         (_, "/v1/recommend" | "/v1/click") => ("invalid", Response::method_not_allowed("POST")),
-        (_, "/healthz" | "/metrics" | "/debug/traces" | "/debug/governor") => {
+        (_, "/healthz" | "/metrics" | "/debug/traces") => {
             ("invalid", Response::method_not_allowed("GET"))
         }
         _ => ("invalid", Response::json(404, "{\"error\":\"no such route\"}".into())),

@@ -46,7 +46,6 @@ mod metric;
 mod online;
 mod registry;
 mod ring;
-mod runtime;
 mod slo;
 mod trace;
 
@@ -66,10 +65,6 @@ pub use online::{
 };
 pub use registry::{Metric, MetricsRegistry};
 pub use ring::SampleRing;
-pub use runtime::{
-    DecisionLog, RuntimeSnapshot, GOVERNOR_KNOB_LABEL, GOVERNOR_KNOB_METRIC, GOVERNOR_STEPS_METRIC,
-    GOVERNOR_TICKS_METRIC,
-};
 pub use slo::{
     tenant_tier, tier_index, SloReport, TierSlo, SLO_LATENCY_METRIC, SLO_SHED_METRIC,
     SLO_TIER_LABEL,

@@ -49,9 +49,8 @@
 //! bandwidth-bound: each output element costs only `k` multiply-adds but
 //! still moves whole panel cache lines, so the fork/join overhead needs a
 //! larger product to amortize. [`gemm_par_threshold`] scales the pool's
-//! base [`crate::pool::par_threshold`] up for `k < 32`; `bench_gemm` pins
-//! the `attn_qkt_136x16` shape so the regression this fixed cannot return
-//! silently.
+//! base [`crate::pool::par_threshold`] up for `k < 32`; the benchmark's
+//! `tensor.gemm.gflops.attn_qkt` metric tracks that shape.
 
 use std::cell::RefCell;
 

@@ -99,9 +99,9 @@ static DISPATCH_PARALLEL: AtomicUsize = AtomicUsize::new(0);
 static DISPATCH_SERIAL: AtomicUsize = AtomicUsize::new(0);
 
 /// `(parallel, serial)` lifetime dispatch counts. The ratio is the pool's
-/// *utilization signal*: a governor that shrank the pool to 1 thread will
-/// see the parallel count stop moving, and one that lowered
-/// [`par_threshold`] sees serial flips convert to parallel ones.
+/// *utilization signal*: at pool size 1 the parallel count stops moving,
+/// and lowering [`par_threshold`] converts serial dispatches to parallel
+/// ones.
 pub fn pool_dispatch_stats() -> (usize, usize) {
     (DISPATCH_PARALLEL.load(Ordering::Relaxed), DISPATCH_SERIAL.load(Ordering::Relaxed))
 }

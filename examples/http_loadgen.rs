@@ -18,18 +18,10 @@
 //! fails. Shed responses (`503` / shed error frames) are load management,
 //! not loss.
 //!
-//! `--governor` attaches the self-tuning runtime governor to the front:
-//! the control loop samples live queue depths and SLO burn while the load
-//! runs, steps `batch_max` / shed depth on the shared knobs, and serves
-//! its decision log at `/debug/governor` on the same port as the load —
-//! the run scrapes it over the wire and replays the recorded observation
-//! trace to prove the decision log is deterministic.
-//!
 //! ```sh
 //! cargo run --release --example http_loadgen                      # 8 JSON clients
 //! cargo run --release --example http_loadgen -- --smoke           # small CI-sized run
 //! cargo run --release --example http_loadgen -- --binary --smoke  # pipelined binary clients
-//! cargo run --release --example http_loadgen -- --governor        # governed front + /debug/governor
 //! ```
 
 use std::collections::HashMap;
@@ -38,7 +30,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use intellitag::gateway::ClientError;
-use intellitag::obs::GOVERNOR_TICKS_METRIC;
 use intellitag::prelude::*;
 
 /// Splitmix64: a tiny deterministic traffic mixer.
@@ -116,7 +107,6 @@ fn span_durations(trace_line: &str) -> Vec<(String, u64)> {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let binary = std::env::args().any(|a| a == "--binary");
-    let governed = std::env::args().any(|a| a == "--governor");
     let (clients, per_client) = if smoke { (8usize, 40usize) } else { (8usize, 200usize) };
     let in_flight = 16usize;
 
@@ -139,25 +129,6 @@ fn main() {
         },
     ));
 
-    // The self-tuning loop rides the same knobs the workers drain under;
-    // its decision log is handed to the gateway so `/debug/governor` can
-    // serve it on the load-bearing port. Defaults line up with the front:
-    // initial `batch_max` 8, shed depth at the 256 queue capacity.
-    let knobs = front.knobs();
-    let governor = governed.then(|| {
-        let cfg = GovernorConfig::default();
-        let log = DecisionLog::new(4096);
-        let runtime = GovernorRuntime::spawn(
-            cfg.clone(),
-            registry.clone(),
-            Arc::clone(&knobs),
-            log.clone(),
-            Duration::from_millis(5),
-        );
-        println!("governor attached: sampling every 5 ms, decisions at /debug/governor");
-        (cfg, log, runtime)
-    });
-
     let share = Arc::clone(&front);
     let gateway = Gateway::spawn(
         "127.0.0.1:0",
@@ -166,11 +137,7 @@ fn main() {
         // micro-batches stay singletons. A binary connection holds its
         // worker for the connection's lifetime, so binary mode adds two
         // spares for the mid-run HTTP scraper and the traced probe.
-        GatewayConfig {
-            workers: if binary { clients + 2 } else { clients },
-            governor: governor.as_ref().map(|(_, log, _)| log.clone()),
-            ..Default::default()
-        },
+        GatewayConfig { workers: if binary { clients + 2 } else { clients }, ..Default::default() },
         &registry,
         move |_worker| Arc::clone(&share),
     )
@@ -426,38 +393,6 @@ fn main() {
          <= wire {wall_us} us",
         format_trace_id(probe_id)
     );
-
-    // ---- governed run: scrape the decision log off the wire, replay it ---
-    if let Some((cfg, log, runtime)) = governor {
-        let body = prober.debug_governor().expect("debug governor served");
-        assert!(
-            body.contains(GOVERNOR_TICKS_METRIC),
-            "/debug/governor must render governor.* metrics, got: {body}"
-        );
-        // The log is an append-only pure function of the observation
-        // prefix, so lines read before the trace must be a prefix of the
-        // trace's replay — byte-identical decision for decision.
-        let lines = log.lines();
-        let trace = runtime.observations();
-        let replayed = Governor::replay(cfg, &trace);
-        assert!(
-            replayed.len() >= lines.len() && replayed[..lines.len()] == lines[..],
-            "recorded trace must replay to the served decision log \
-             (replayed {} lines, live log has {})",
-            replayed.len(),
-            lines.len()
-        );
-        println!(
-            "\ngovernor: {} decisions over {} ticks | trace of {} observations replays \
-             byte-identically | final batch_max {} shed_depth {}",
-            runtime.decision_count(),
-            registry.counter(GOVERNOR_TICKS_METRIC).get(),
-            trace.len(),
-            knobs.batch_max(),
-            knobs.shed_depth()
-        );
-        runtime.stop();
-    }
 
     gateway.shutdown();
     drop(front);

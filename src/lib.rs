@@ -67,9 +67,9 @@ pub mod prelude {
         SrGnn, TrainConfig,
     };
     pub use intellitag_core::{
-        evaluate_offline, simulate_online, Admission, Governor, GovernorConfig, GovernorRuntime,
-        IntelliTag, ModelServer, ModelSwap, ProtocolConfig, Reply, Request, RuntimeKnobs,
-        ShardConfig, ShardedServer, ShedReason, SimConfig, SwapPayload, TagRecConfig, TagService,
+        evaluate_offline, simulate_online, Admission, IntelliTag, ModelServer, ModelSwap,
+        ProtocolConfig, Reply, Request, ShardConfig, ShardedServer, ShedReason, SimConfig,
+        SwapPayload, TagRecConfig, TagService,
     };
     pub use intellitag_datagen::{
         labeled_sentences, sequence_examples, split_sessions, Session, UserModel, World,
@@ -86,9 +86,8 @@ pub mod prelude {
     };
     pub use intellitag_obs::{
         format_trace_id, parse_prometheus, parse_trace_id, render_json_lines, render_prometheus,
-        tenant_tier, DecisionLog, FinishedTrace, Histogram, HistogramSnapshot, MetricsRegistry,
-        RuntimeSnapshot, SloReport, SpanTimer, TraceCollector, TraceConfig, TraceHandle,
-        TraceIdGen,
+        tenant_tier, FinishedTrace, Histogram, HistogramSnapshot, MetricsRegistry, SloReport,
+        SpanTimer, TraceCollector, TraceConfig, TraceHandle, TraceIdGen,
     };
     pub use intellitag_online::{
         click_sessions, recover, ModelSnapshot, OnlineTrainer, SnapshotRegistry, TrainerConfig,

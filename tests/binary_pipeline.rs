@@ -633,6 +633,54 @@ fn the_inflight_cap_is_a_permit_freed_by_completions() {
     handle.shutdown();
 }
 
+/// A saturated pool with completions already queued still makes progress:
+/// a queued completion frees no slot, so `submit` must read the sockets
+/// rather than recycle the queue. A watchdog turns a hang into a failure.
+#[test]
+fn submit_on_a_saturated_pool_reads_past_queued_completions() {
+    let world = World::generate(WorldConfig::tiny(59));
+    let parts = ServerParts::from_world(&world);
+    let registry = MetricsRegistry::new();
+    let front = Arc::new(ShardedServer::spawn(
+        ShardConfig { shards: 1, ..Default::default() },
+        registry.clone(),
+        move |_shard| parts.build(),
+    ));
+    let share = Arc::clone(&front);
+    let handle = Gateway::spawn(
+        "127.0.0.1:0",
+        GatewayConfig { workers: 1, ..Default::default() },
+        &registry,
+        move |_worker| Arc::clone(&share),
+    )
+    .expect("gateway binds");
+    let (addr, req) = (handle.addr(), click_for(&world, 0));
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let mut client = PipelinedClient::new(addr, 1, 2).with_timeout(Duration::from_secs(5));
+        client.submit(&req, 0).expect("submit 1");
+        client.submit(&req, 0).expect("submit 2");
+        // The pool is full: this submit reads a reply to make room and
+        // leaves that reply queued.
+        client.submit(&req, 0).expect("submit 3");
+        while client.in_flight() < 2 {
+            client.submit(&req, 0).expect("refill");
+        }
+        // Full again, with a completion queued.
+        client.submit(&req, 0).expect("submit on a saturated pool");
+        // A round trip must likewise read past the queue to find its reply.
+        assert!(client.round_trip(&req, 0).expect("round trip").payload.is_response());
+        let done = client.drain().expect("every frame answered");
+        assert!(done.iter().all(|c| c.payload.is_response()));
+        tx.send(client.submitted() - 1 - done.len() as u64).expect("watchdog listening");
+    });
+    let unaccounted = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the client thread hung or failed on a saturated pool");
+    assert_eq!(unaccounted, 0, "every frame but the round trip's drains");
+    handle.shutdown();
+}
+
 /// A client that half-closes its socket with frames in flight is still owed
 /// — and gets — every reply, then a clean EOF.
 #[test]

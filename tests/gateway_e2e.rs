@@ -557,79 +557,6 @@ fn gateway_error_paths_are_clean_json_statuses() {
     handle.shutdown();
 }
 
-#[test]
-fn debug_governor_endpoint_serves_live_state_or_absence() {
-    let world = World::generate(WorldConfig::tiny(91));
-    let parts = ServerParts::from_world(&world);
-
-    // Without a governor the endpoint answers plainly instead of 404ing,
-    // so dashboards can probe it unconditionally.
-    let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
-    let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 1, batch_max: 4, queue_capacity: 32 },
-        registry.clone(),
-        move |_shard| factory_parts.build(),
-    ));
-    let share = Arc::clone(&front);
-    let handle = Gateway::spawn(
-        "127.0.0.1:0",
-        GatewayConfig { workers: 1, ..Default::default() },
-        &registry,
-        move |_worker| Arc::clone(&share),
-    )
-    .expect("gateway binds");
-    let mut client = GatewayClient::new(handle.addr());
-    let body = client.debug_governor().expect("debug governor");
-    assert_eq!(body, "no governor running\n");
-    handle.shutdown();
-    drop(front);
-
-    // With a governor attached, the endpoint serves the governor.* series
-    // and the retained decision lines.
-    let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
-    let front = Arc::new(ShardedServer::spawn(
-        ShardConfig { shards: 1, batch_max: 4, queue_capacity: 32 },
-        registry.clone(),
-        move |_shard| factory_parts.build(),
-    ));
-    let log = DecisionLog::new(256);
-    let governor = GovernorRuntime::spawn(
-        GovernorConfig { initial_batch_max: 4, ..Default::default() },
-        registry.clone(),
-        front.knobs(),
-        log.clone(),
-        Duration::from_millis(5),
-    );
-    let share = Arc::clone(&front);
-    let handle = Gateway::spawn(
-        "127.0.0.1:0",
-        GatewayConfig { workers: 1, governor: Some(log.clone()), ..Default::default() },
-        &registry,
-        move |_worker| Arc::clone(&share),
-    )
-    .expect("gateway binds");
-    let mut client = GatewayClient::new(handle.addr());
-
-    // Let the loop tick at least once, and plant a known decision line so
-    // the log half of the body is deterministic.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while registry.counter("governor.ticks").get() == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    log.push("tick=0 knob=probe old=1 new=2 signal=test".to_string());
-    let body = client.debug_governor().expect("debug governor");
-    assert!(body.contains("governor.ticks"), "ticks series missing:\n{body}");
-    assert!(
-        body.contains("tick=0 knob=probe old=1 new=2 signal=test"),
-        "planted decision line missing:\n{body}"
-    );
-
-    governor.stop();
-    handle.shutdown();
-}
-
 /// The span names of trace `id` in a `/debug/traces` export, in recorded
 /// order.
 fn span_names_of(traces: &str, id: u64) -> Vec<String> {
@@ -718,16 +645,12 @@ fn out_of_range_tenants_over_the_wire_mint_no_metric_series() {
         assert!(bin.round_trip(&request(i), 0).expect("answered").payload.is_response());
     }
     let series = registry.names().len();
-    let mut answered = 0;
-    for window in (3..10_003).collect::<Vec<_>>().chunks(64) {
-        for &i in window {
-            bin.submit(&request(i), 0).expect("submit");
-        }
-        let done = bin.drain().expect("every frame answered");
-        assert!(done.iter().all(|c| c.payload.is_response()));
-        answered += done.len();
+    for i in 3..10_003 {
+        bin.submit(&request(i), 0).expect("submit");
     }
-    assert_eq!(answered, 10_000);
+    let done = bin.drain().expect("every frame answered");
+    assert!(done.iter().all(|c| c.payload.is_response()));
+    assert_eq!(done.len(), 10_000);
     assert_eq!(registry.names().len(), series);
     assert_eq!(registry.counter("serving.error.bad_tenant").get(), 10_003);
     handle.shutdown();
