@@ -354,10 +354,6 @@ struct ServerMetrics {
 
 impl ServerMetrics {
     fn bind(registry: MetricsRegistry, tenants: usize) -> Self {
-        // Publish the tensor compute-pool size so scrapes show what the
-        // kernels under this server are configured to use (a pure
-        // performance knob: pooled kernels are bit-identical to serial).
-        registry.gauge("tensor.pool_threads").set(intellitag_tensor::pool_threads() as f64);
         ServerMetrics {
             requests: registry.counter("serving.requests"),
             tenant_requests: (0..tenants)
@@ -1227,16 +1223,6 @@ mod tests {
         let report = SloReport::from_registry(s.metrics(), 150_000);
         let tiers: Vec<&str> = report.tiers.iter().map(|t| t.tier.as_str()).collect();
         assert!(tiers.contains(&"gold") && tiers.contains(&"silver"), "{tiers:?}");
-    }
-
-    #[test]
-    fn pool_threads_gauge_is_published() {
-        let s = server();
-        let rendered = s.metrics().render_prometheus();
-        assert!(
-            rendered.contains("tensor_pool_threads"),
-            "tensor.pool_threads gauge missing from scrape:\n{rendered}"
-        );
     }
 
     #[test]

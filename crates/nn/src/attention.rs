@@ -90,10 +90,7 @@ impl MultiHeadAttention {
             let qh = q.slice_cols(lo, hi);
             let kh = k.slice_cols(lo, hi);
             let vh = v.slice_cols(lo, hi);
-            // Fused Q*K^T: one kernel, no materialized transpose. Score rows
-            // (and the softmax under them) run on the tensor compute pool;
-            // per-row accumulation stays serial, so pool size never changes
-            // the bits.
+            // Fused Q*K^T: one kernel, no materialized transpose.
             let mut scores = qh.matmul_nt(&kh).scale(scale); // N x N
             if let Some(m) = mask {
                 scores = scores.add(m);

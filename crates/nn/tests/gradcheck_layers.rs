@@ -75,13 +75,9 @@ fn gru_grads_match_numeric() {
 }
 
 #[test]
-fn transformer_grads_match_numeric_under_multithread_pool() {
-    // Same check as above, but with the tensor compute pool forced on so
-    // the masked-attention backward runs its kernels across 4 workers.
-    // Pooled kernels are bit-identical to serial ones, so flipping the
-    // global knobs cannot disturb tests running concurrently.
-    intellitag_tensor::set_pool_threads(4);
-    intellitag_tensor::set_par_threshold(1);
+fn masked_transformer_grads_match_numeric() {
+    // `transformer_grads_match_numeric` through the block-diagonal masked
+    // forward of two stacked sequences.
     let mut rng = StdRng::seed_from_u64(4);
     let mut ps = ParamSet::new(1e-3);
     let enc = TransformerEncoder::new("t", 1, 4, 2, &mut ps, &mut rng);
@@ -97,6 +93,4 @@ fn transformer_grads_match_numeric_under_multithread_pool() {
         loss.backward();
         loss.scalar()
     });
-    intellitag_tensor::set_pool_threads(0);
-    intellitag_tensor::set_par_threshold(intellitag_tensor::DEFAULT_PAR_THRESHOLD);
 }

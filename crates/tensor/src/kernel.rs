@@ -20,10 +20,8 @@
 //! register tile. Consequences, all load-bearing:
 //!
 //! * The bits of `C[i, j]` depend only on the operand values and the
-//!   process-wide FMA mode — not on how rows or columns were partitioned.
-//!   Both parallel axes (row panels via [`crate::pool::par_tiles`] over MR
-//!   blocks, column panels over NR blocks) and every pool size produce
-//!   byte-identical output *by construction*.
+//!   process-wide FMA mode, so the strided [`gemm_serial`] and pre-packed
+//!   [`gemm_packed`] entries give every element the bits [`gemm`] gives it.
 //! * The row-sparse fallback (below) skips exact-zero `A` entries but keeps
 //!   the same ascending-`k` fused accumulation, so dense and sparse paths
 //!   agree bitwise on finite inputs; routing between them is a pure
@@ -31,7 +29,10 @@
 //! * Model shapes keep `k` at a few hundred, so the packed panels live in
 //!   L1/L2 and k-blocking would buy nothing; if a future workload needs
 //!   `k` in the tens of thousands, add `KC` blocking *and* re-pin the
-//!   stacked-attention parity suite, which relies on the continuous order.
+//!   serving-forward property, which relies on the continuous order.
+//!
+//! Every entry runs on the calling thread. Serving scales by shards, one
+//! forward per shard worker, and training runs single-threaded.
 //!
 //! ## Sparse fallback
 //!
@@ -41,20 +42,9 @@
 //! operand is mostly exact zeros (`exp(-inf)`). A packed kernel would
 //! happily multiply all of them, so [`gemm`] counts zeros in `A` (NN
 //! variant only, one cheap scan) and routes ≥50%-zero operands to a
-//! row-parallel zero-skipping kernel with the same fused accumulation order.
-//!
-//! ## Shape-aware parallel threshold
-//!
-//! Small-`k` products (attention `Q·Kᵀ` at `k = d/heads`) are
-//! bandwidth-bound: each output element costs only `k` multiply-adds but
-//! still moves whole panel cache lines, so the fork/join overhead needs a
-//! larger product to amortize. [`gemm_par_threshold`] scales the pool's
-//! base [`crate::pool::par_threshold`] up for `k < 32`; the benchmark's
-//! `tensor.gemm.gflops.attn_qkt` metric tracks that shape.
+//! zero-skipping row kernel with the same fused accumulation order.
 
 use std::cell::RefCell;
-
-use crate::pool;
 
 /// Micro-tile rows: each micro-kernel invocation produces an `MR x NR`
 /// block of C held entirely in registers.
@@ -80,49 +70,24 @@ pub enum Variant {
     NT,
 }
 
-/// Test/bench override for the engine's parallel axis.
+/// The engine's former parallel axes. Every kernel runs on its calling
+/// thread; kept for the frozen benchmark until ROADMAP item 2(a) re-points
+/// its layer walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParAxis {
-    /// Shape-aware automatic choice (the default).
+    /// The default.
     Auto,
-    /// Never dispatch to the pool.
+    /// On the calling thread, which is where every kernel runs.
     Serial,
-    /// Force the row-panel axis (falls back to serial below 2 row panels).
-    Rows,
-    /// Force the column-panel axis (falls back to serial below 2 column
-    /// panels; the sparse fallback has no column axis and runs serial).
-    Cols,
 }
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-static AXIS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces the engine's parallel axis — a test/bench knob. Results are
-/// bit-identical across axes by construction, so this only changes speed.
-pub fn set_gemm_axis(axis: ParAxis) {
-    let v = match axis {
-        ParAxis::Auto => 0,
-        ParAxis::Serial => 1,
-        ParAxis::Rows => 2,
-        ParAxis::Cols => 3,
-    };
-    AXIS_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// The current axis override (default [`ParAxis::Auto`]).
-pub fn gemm_axis() -> ParAxis {
-    match AXIS_OVERRIDE.load(Ordering::SeqCst) {
-        1 => ParAxis::Serial,
-        2 => ParAxis::Rows,
-        3 => ParAxis::Cols,
-        _ => ParAxis::Auto,
-    }
-}
+/// A no-op: every kernel runs on its calling thread. Kept for the frozen
+/// benchmark until ROADMAP item 2(a) re-points its layer walk.
+pub fn set_gemm_axis(_axis: ParAxis) {}
 
 /// True when this process's kernels fuse multiply-adds (`vfmadd` via the
 /// AVX2+FMA multiversioned engine). Detected once; every kernel in the
-/// process — packed, sparse, either axis — uses the same mode, so results
+/// process — packed or sparse — uses the same mode, so results
 /// stay bit-identical within a machine (they legitimately differ across
 /// machines with different feature sets, like any change of arithmetic).
 #[cfg(target_arch = "x86_64")]
@@ -139,85 +104,11 @@ pub fn fma_enabled() -> bool {
     false
 }
 
-/// The shape-aware work floor (in multiply-adds) a product must clear
-/// before [`gemm`] dispatches to the pool. Small-`k` shapes are
-/// bandwidth-bound, so their floor is three base thresholds.
-pub fn gemm_par_threshold(_m: usize, k: usize, _n: usize) -> usize {
-    let base = pool::par_threshold();
-    if k < 32 {
-        base.saturating_mul(3)
-    } else {
-        base
-    }
-}
-
-/// The execution plan [`gemm`] chose for a shape — exposed so benches can
-/// report which axis a shape exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Plan {
-    /// Entirely on the calling thread.
-    Serial,
-    /// Row-panel parallel (MR-row blocks across the pool).
-    Rows,
-    /// Column-panel parallel (NR-column blocks across the pool).
-    Cols,
-}
-
-/// Plan selection. Deterministic in the shape and knobs; never depends on
-/// which thread calls or on operand values (the sparse route is decided
-/// separately and only narrows Cols to Serial).
-pub fn gemm_plan(m: usize, k: usize, n: usize) -> Plan {
-    let threads = pool::pool_threads();
-    let row_units = m.div_ceil(MR);
-    let col_units = n.div_ceil(NR);
-    match gemm_axis() {
-        ParAxis::Serial => Plan::Serial,
-        ParAxis::Rows => {
-            if threads > 1 && row_units >= 2 {
-                Plan::Rows
-            } else {
-                Plan::Serial
-            }
-        }
-        ParAxis::Cols => {
-            if threads > 1 && col_units >= 2 {
-                Plan::Cols
-            } else {
-                Plan::Serial
-            }
-        }
-        ParAxis::Auto => {
-            if threads <= 1 || m * k * n < gemm_par_threshold(m, k, n) {
-                return Plan::Serial;
-            }
-            // Prefer rows when they give every thread at least two panels
-            // (better balance and each worker streams the shared B pack
-            // once); otherwise columns when they offer strictly more
-            // granularity — the tall-skinny / short-wide rescue axis.
-            if row_units >= 2 * threads {
-                Plan::Rows
-            } else if col_units >= 2 * threads && col_units > row_units {
-                Plan::Cols
-            } else if row_units >= col_units && row_units >= 2 {
-                Plan::Rows
-            } else if col_units >= 2 {
-                Plan::Cols
-            } else if row_units >= 2 {
-                Plan::Rows
-            } else {
-                Plan::Serial
-            }
-        }
-    }
-}
-
 thread_local! {
-    /// Per-thread scratch for the pack each worker builds privately
-    /// (A panels on the row axis, B panels on the column axis).
-    static PACK_PRIVATE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread scratch for the pack the caller builds once and shares
-    /// read-only with every chunk.
-    static PACK_SHARED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for the packed `A` panels.
+    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for the packed `B` panels.
+    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Logical dimensions and length checks for a variant.
@@ -249,55 +140,12 @@ pub fn gemm(variant: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
     if variant == Variant::NN && m * k >= 1024 {
         let zeros = a.iter().filter(|v| **v == 0.0).count();
         if zeros * SPARSE_DENOM >= m * k * SPARSE_NUMER {
-            sparse_nn(k, n, a, b, out, (m * k - zeros) * n);
+            sparse_nn(k, n, a, b, out);
             return;
         }
     }
     let (lda, ldb) = dense_strides(variant, m, k, n);
-    let plan = gemm_plan(m, k, n);
-    match plan {
-        Plan::Serial => gemm_serial(variant, m, k, n, a, lda, b, ldb, out, n),
-        Plan::Rows => PACK_SHARED.with(|shared| {
-            let mut bbuf = shared.borrow_mut();
-            pack_b(variant, k, ldb, b, 0, n, &mut bbuf);
-            let bref: &[f32] = &bbuf;
-            let out_base = out.as_mut_ptr() as usize;
-            let row_units = m.div_ceil(MR);
-            // Plan already gated on the shape-aware threshold; pass MAX so
-            // the pool doesn't re-apply the base threshold (nested-job and
-            // pool-size-1 fallbacks still hold).
-            pool::par_tiles(row_units, usize::MAX, |plo, phi| {
-                let i0 = plo * MR;
-                let rows = (phi * MR).min(m) - i0;
-                PACK_PRIVATE.with(|private| {
-                    let mut abuf = private.borrow_mut();
-                    pack_a(variant, k, lda, a, i0, rows, &mut abuf);
-                    // SAFETY: chunks own disjoint row ranges of `out`;
-                    // every element is written by exactly one thread (same
-                    // argument as split_at_mut).
-                    drive_dispatch(k, n, &abuf, bref, out_base, i0, rows, 0, n);
-                });
-            });
-        }),
-        Plan::Cols => PACK_SHARED.with(|shared| {
-            let mut abuf = shared.borrow_mut();
-            pack_a(variant, k, lda, a, 0, m, &mut abuf);
-            let aref: &[f32] = &abuf;
-            let out_base = out.as_mut_ptr() as usize;
-            let col_units = n.div_ceil(NR);
-            pool::par_tiles(col_units, usize::MAX, |plo, phi| {
-                let j0 = plo * NR;
-                let cols = (phi * NR).min(n) - j0;
-                PACK_PRIVATE.with(|private| {
-                    let mut bbuf = private.borrow_mut();
-                    pack_b(variant, k, ldb, b, j0, cols, &mut bbuf);
-                    // SAFETY: chunks own disjoint column ranges of `out`
-                    // (interleaved in memory but element-disjoint).
-                    drive_dispatch(k, n, aref, &bbuf, out_base, 0, m, j0, cols);
-                });
-            });
-        }),
-    }
+    gemm_serial(variant, m, k, n, a, lda, b, ldb, out, n);
 }
 
 /// Row strides of densely stored operands: `(lda, ldb)` for a variant.
@@ -319,13 +167,11 @@ fn view_len(rows: usize, cols: usize, ld: usize) -> usize {
     }
 }
 
-/// [`gemm`] for strided views, entirely on the calling thread: operands and
-/// output are windows into wider row-major buffers (`lda`/`ldb`/`ldc` are
-/// their row strides), nothing is dispatched to the pool and the sparse
-/// router is skipped. Same packing, same micro-kernel, so every output
-/// element carries the bits [`gemm`] would give it. This is the entry the
-/// serving forward uses: shards are serving's parallel axis, and a
-/// per-sequence attention block is far below any fork/join break-even.
+/// [`gemm`] for strided views: operands and output are windows into wider
+/// row-major buffers (`lda`/`ldb`/`ldc` are their row strides) and the
+/// sparse router is skipped. Same packing, same micro-kernel, so every
+/// output element carries the bits [`gemm`] would give it. This is the
+/// entry the serving forward uses for per-sequence attention blocks.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_serial(
     variant: Variant,
@@ -346,9 +192,9 @@ pub fn gemm_serial(
     };
     assert!(a.len() >= a_need, "gemm_serial {variant:?}: A view too short for {m}x{k}x{n}");
     assert!(b.len() >= b_need, "gemm_serial {variant:?}: B view too short for {m}x{k}x{n}");
-    PACK_SHARED.with(|shared| {
-        let mut bbuf = shared.borrow_mut();
-        pack_b(variant, k, ldb, b, 0, n, &mut bbuf);
+    PACK_B.with(|bbuf| {
+        let mut bbuf = bbuf.borrow_mut();
+        pack_b(variant, k, ldb, b, n, &mut bbuf);
         drive_packed_b(variant, m, k, n, a, lda, &bbuf, out, ldc);
     });
 }
@@ -368,7 +214,7 @@ impl PackedB {
     pub fn pack(k: usize, n: usize, b: &[f32]) -> Self {
         assert_eq!(b.len(), k * n, "PackedB::pack: data length does not match {k}x{n}");
         let mut panels = Vec::new();
-        pack_b(Variant::NN, k, n, b, 0, n, &mut panels);
+        pack_b(Variant::NN, k, n, b, n, &mut panels);
         PackedB { k, n, panels }
     }
 
@@ -383,9 +229,9 @@ impl PackedB {
     }
 }
 
-/// `C = A·B` against a pre-packed `B`, on the calling thread: `a` is an
-/// `m x b.k()` view with row stride `lda`, `out` an `m x b.n()` view with
-/// row stride `ldc`. Bit-identical to [`gemm`] on the unpacked operands.
+/// `C = A·B` against a pre-packed `B`: `a` is an `m x b.k()` view with row
+/// stride `lda`, `out` an `m x b.n()` view with row stride `ldc`.
+/// Bit-identical to [`gemm`] on the unpacked operands.
 pub fn gemm_packed(m: usize, a: &[f32], lda: usize, b: &PackedB, out: &mut [f32], ldc: usize) {
     assert!(a.len() >= view_len(m, b.k, lda), "gemm_packed: A view too short");
     drive_packed_b(Variant::NN, m, b.k, b.n, a, lda, &b.panels, out, ldc);
@@ -405,9 +251,6 @@ fn drive_packed_b(
     out: &mut [f32],
     ldc: usize,
 ) {
-    // The micro-kernel stores through a raw pointer; this is the check that
-    // keeps every store inside `out`.
-    assert!(out.len() >= view_len(m, n, ldc), "gemm: C view too short for {m}x{n}");
     if m == 0 || n == 0 {
         return;
     }
@@ -417,19 +260,19 @@ fn drive_packed_b(
         }
         return;
     }
-    PACK_PRIVATE.with(|private| {
-        let mut abuf = private.borrow_mut();
-        pack_a(variant, k, lda, a, 0, m, &mut abuf);
-        drive_dispatch(k, ldc, &abuf, bpack, out.as_mut_ptr() as usize, 0, m, 0, n);
+    PACK_A.with(|abuf| {
+        let mut abuf = abuf.borrow_mut();
+        pack_a(variant, k, lda, a, m, &mut abuf);
+        drive_dispatch(k, ldc, &abuf, bpack, out, m, n);
     });
 }
 
-/// Packs logical rows `[i0, i0+rows)` of `A` into k-major `MR`-row
-/// micro-panels: `buf[(panel*k + p)*MR + r] = A[i0 + panel*MR + r, p]`,
+/// Packs the first `rows` logical rows of `A` into k-major `MR`-row
+/// micro-panels: `buf[(panel*k + p)*MR + r] = A[panel*MR + r, p]`,
 /// zero-padding the tail panel's missing rows. `lda` is the distance
 /// between stored rows of `a` (`k` or `m` when dense, larger for a view
 /// into a wider buffer).
-fn pack_a(v: Variant, k: usize, lda: usize, a: &[f32], i0: usize, rows: usize, buf: &mut Vec<f32>) {
+fn pack_a(v: Variant, k: usize, lda: usize, a: &[f32], rows: usize, buf: &mut Vec<f32>) {
     let panels = rows.div_ceil(MR);
     buf.resize(panels * k * MR, 0.0);
     match v {
@@ -439,7 +282,7 @@ fn pack_a(v: Variant, k: usize, lda: usize, a: &[f32], i0: usize, rows: usize, b
                 let dst = &mut buf[ip * k * MR..(ip + 1) * k * MR];
                 let live = (rows - ip * MR).min(MR);
                 for r in 0..live {
-                    let src = &a[(i0 + ip * MR + r) * lda..(i0 + ip * MR + r) * lda + k];
+                    let src = &a[(ip * MR + r) * lda..(ip * MR + r) * lda + k];
                     for (p, &v) in src.iter().enumerate() {
                         dst[p * MR + r] = v;
                     }
@@ -457,7 +300,7 @@ fn pack_a(v: Variant, k: usize, lda: usize, a: &[f32], i0: usize, rows: usize, b
                 let dst = &mut buf[ip * k * MR..(ip + 1) * k * MR];
                 let live = (rows - ip * MR).min(MR);
                 for p in 0..k {
-                    let src = &a[p * lda + i0 + ip * MR..p * lda + i0 + ip * MR + live];
+                    let src = &a[p * lda + ip * MR..p * lda + ip * MR + live];
                     dst[p * MR..p * MR + live].copy_from_slice(src);
                     if live < MR {
                         dst[p * MR + live..(p + 1) * MR].fill(0.0);
@@ -468,11 +311,11 @@ fn pack_a(v: Variant, k: usize, lda: usize, a: &[f32], i0: usize, rows: usize, b
     }
 }
 
-/// Packs logical columns `[j0, j0+cols)` of `B` into k-major `NR`-column
-/// micro-panels: `buf[(panel*k + p)*NR + c] = B[p, j0 + panel*NR + c]`,
+/// Packs the first `cols` logical columns of `B` into k-major `NR`-column
+/// micro-panels: `buf[(panel*k + p)*NR + c] = B[p, panel*NR + c]`,
 /// zero-padding the tail panel's missing columns. `ldb` is the distance
 /// between stored rows of `b` (`n` or `k` when dense).
-fn pack_b(v: Variant, k: usize, ldb: usize, b: &[f32], j0: usize, cols: usize, buf: &mut Vec<f32>) {
+fn pack_b(v: Variant, k: usize, ldb: usize, b: &[f32], cols: usize, buf: &mut Vec<f32>) {
     let panels = cols.div_ceil(NR);
     buf.resize(panels * k * NR, 0.0);
     match v {
@@ -482,7 +325,7 @@ fn pack_b(v: Variant, k: usize, ldb: usize, b: &[f32], j0: usize, cols: usize, b
                 let dst = &mut buf[jp * k * NR..(jp + 1) * k * NR];
                 let live = (cols - jp * NR).min(NR);
                 for p in 0..k {
-                    let src = &b[p * ldb + j0 + jp * NR..p * ldb + j0 + jp * NR + live];
+                    let src = &b[p * ldb + jp * NR..p * ldb + jp * NR + live];
                     dst[p * NR..p * NR + live].copy_from_slice(src);
                     if live < NR {
                         dst[p * NR + live..(p + 1) * NR].fill(0.0);
@@ -496,7 +339,7 @@ fn pack_b(v: Variant, k: usize, ldb: usize, b: &[f32], j0: usize, cols: usize, b
                 let dst = &mut buf[jp * k * NR..(jp + 1) * k * NR];
                 let live = (cols - jp * NR).min(NR);
                 for c in 0..live {
-                    let src = &b[(j0 + jp * NR + c) * ldb..(j0 + jp * NR + c) * ldb + k];
+                    let src = &b[(jp * NR + c) * ldb..(jp * NR + c) * ldb + k];
                     for (p, &v) in src.iter().enumerate() {
                         dst[p * NR + c] = v;
                     }
@@ -513,64 +356,63 @@ fn pack_b(v: Variant, k: usize, ldb: usize, b: &[f32], j0: usize, cols: usize, b
     }
 }
 
-/// Runs the micro-kernel grid for one packed row range × packed column
-/// range, runtime-dispatching to the FMA build once per chunk.
-#[allow(clippy::too_many_arguments)]
+/// Runs the micro-kernel grid over packed `A` (`rows` rows) and packed `B`
+/// (`cols` columns) into `out` (row stride `ldc`), runtime-dispatching to
+/// the FMA build once per call.
 fn drive_dispatch(
     k: usize,
     ldc: usize,
     apack: &[f32],
     bpack: &[f32],
-    out_base: usize,
-    i0: usize,
+    out: &mut [f32],
     rows: usize,
-    j0: usize,
     cols: usize,
 ) {
+    // The micro-kernel stores through a raw pointer; this is the check that
+    // keeps every store inside `out`.
+    assert!(out.len() >= view_len(rows, cols, ldc), "gemm: C view too short for {rows}x{cols}");
     #[cfg(target_arch = "x86_64")]
     if fma_enabled() {
         // SAFETY: fma_enabled() verified avx2+fma at runtime.
-        unsafe { drive_avx2(k, ldc, apack, bpack, out_base, i0, rows, j0, cols) };
+        unsafe { drive_avx2(k, ldc, apack, bpack, out, rows, cols) };
         return;
     }
-    drive_impl::<false>(k, ldc, apack, bpack, out_base, i0, rows, j0, cols);
+    drive_impl::<false>(k, ldc, apack, bpack, out, rows, cols);
 }
 
 /// AVX2+FMA instantiation of the engine: same source, `mul_add` lowers to
 /// `vfmadd` and the autovectorizer gets 256-bit lanes.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn drive_avx2(
     k: usize,
     ldc: usize,
     apack: &[f32],
     bpack: &[f32],
-    out_base: usize,
-    i0: usize,
+    out: &mut [f32],
     rows: usize,
-    j0: usize,
     cols: usize,
 ) {
-    drive_impl::<true>(k, ldc, apack, bpack, out_base, i0, rows, j0, cols);
+    drive_impl::<true>(k, ldc, apack, bpack, out, rows, cols);
 }
 
 /// The shared engine body: walk every (row panel, column panel) pair and
-/// run the register-tile micro-kernel.
+/// run the register-tile micro-kernel. `out` holds `rows x cols` at row
+/// stride `ldc` ([`drive_dispatch`] checks it).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn drive_impl<const FMA: bool>(
     k: usize,
     ldc: usize,
     apack: &[f32],
     bpack: &[f32],
-    out_base: usize,
-    i0: usize,
+    out: &mut [f32],
     rows: usize,
-    j0: usize,
     cols: usize,
 ) {
-    let out = out_base as *mut f32;
+    let out = out.as_mut_ptr();
     let row_panels = rows.div_ceil(MR);
     let col_panels = cols.div_ceil(NR);
     for ip in 0..row_panels {
@@ -579,10 +421,10 @@ fn drive_impl<const FMA: bool>(
         for jp in 0..col_panels {
             let live_c = (cols - jp * NR).min(NR);
             let bp = &bpack[jp * k * NR..(jp + 1) * k * NR];
-            // SAFETY: the tile's rows/cols lie inside this chunk's disjoint
-            // region of the output (row stride `ldc`).
+            // SAFETY: the tile's live rows/cols lie inside `out`, which
+            // holds `rows x cols` at row stride `ldc`.
             unsafe {
-                let ctile = out.add((i0 + ip * MR) * ldc + j0 + jp * NR);
+                let ctile = out.add(ip * MR * ldc + jp * NR);
                 micro_tile::<FMA>(k, ap, bp, ctile, ldc, live_r, live_c);
             }
         }
@@ -633,46 +475,33 @@ unsafe fn micro_tile<const FMA: bool>(
     }
 }
 
-/// Row-parallel zero-skipping NN kernel for mostly-zero `A` (stacked
-/// block-diagonal attention probabilities). Same fused accumulation order
-/// as the packed engine, so the two agree bitwise on finite inputs.
-fn sparse_nn(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], work: usize) {
-    // The sparse kernel has no column axis; forced-Cols runs serial (bits
-    // are identical either way — that is the engine's whole guarantee).
-    let work = match gemm_axis() {
-        ParAxis::Serial | ParAxis::Cols => 0,
-        ParAxis::Rows => usize::MAX,
-        ParAxis::Auto => work,
-    };
-    pool::par_rows_mut(out, n, work, |i0, chunk| {
-        #[cfg(target_arch = "x86_64")]
-        if fma_enabled() {
-            // SAFETY: fma_enabled() verified avx2+fma at runtime.
-            unsafe { sparse_rows_avx2(i0, chunk, k, n, a, b) };
-            return;
-        }
-        sparse_rows_impl::<false>(i0, chunk, k, n, a, b);
-    });
+/// Zero-skipping NN kernel for mostly-zero `A` (stacked block-diagonal
+/// attention probabilities). Same fused accumulation order as the packed
+/// engine, so the two agree bitwise on finite inputs.
+fn sparse_nn(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_enabled() {
+        // SAFETY: fma_enabled() verified avx2+fma at runtime.
+        unsafe { sparse_rows_avx2(k, n, a, b, out) };
+        return;
+    }
+    sparse_rows_impl::<false>(k, n, a, b, out);
 }
 
+/// AVX2+FMA instantiation of the sparse kernel.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sparse_rows_avx2(i0: usize, chunk: &mut [f32], k: usize, n: usize, a: &[f32], b: &[f32]) {
-    sparse_rows_impl::<true>(i0, chunk, k, n, a, b);
+unsafe fn sparse_rows_avx2(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    sparse_rows_impl::<true>(k, n, a, b, out);
 }
 
 #[inline(always)]
-fn sparse_rows_impl<const FMA: bool>(
-    i0: usize,
-    chunk: &mut [f32],
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-) {
-    for (d, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+fn sparse_rows_impl<const FMA: bool>(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         out_row.fill(0.0);
-        let a_row = &a[(i0 + d) * k..(i0 + d) * k + k];
         for (p, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
                 continue;
@@ -773,8 +602,8 @@ mod tests {
 
     #[test]
     fn sparse_route_is_bitwise_equal_to_packed() {
-        // >=50% zeros routes sparse; compare against a direct packed run of
-        // the same operands (internal call, bypassing the router).
+        // >=50% zeros routes sparse; compare against a packed run of the
+        // same operands (`gemm_serial` bypasses the router).
         let (m, k, n) = (40, 32, 24);
         let mut a = fill(m * k, 77);
         for (i, v) in a.iter_mut().enumerate() {
@@ -787,15 +616,7 @@ mod tests {
         gemm(Variant::NN, m, k, n, &a, &b, &mut routed);
 
         let mut packed = vec![0.0f32; m * n];
-        PACK_SHARED.with(|shared| {
-            let mut bbuf = shared.borrow_mut();
-            pack_b(Variant::NN, k, n, &b, 0, n, &mut bbuf);
-            PACK_PRIVATE.with(|private| {
-                let mut abuf = private.borrow_mut();
-                pack_a(Variant::NN, k, k, &a, 0, m, &mut abuf);
-                drive_dispatch(k, n, &abuf, &bbuf, packed.as_mut_ptr() as usize, 0, m, 0, n);
-            });
-        });
+        gemm_serial(Variant::NN, m, k, n, &a, k, &b, n, &mut packed, n);
         let rb: Vec<u32> = routed.iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u32> = packed.iter().map(|v| v.to_bits()).collect();
         assert_eq!(rb, pb, "sparse and packed paths must agree bitwise");
@@ -845,21 +666,5 @@ mod tests {
     fn strided_output_must_hold_every_row() {
         let mut out = vec![0.0f32; 2 * 4 - 1];
         gemm_serial(Variant::NN, 2, 3, 4, &[0.0; 6], 3, &[0.0; 12], 4, &mut out, 4);
-    }
-
-    #[test]
-    fn small_k_threshold_is_raised() {
-        let base = pool::par_threshold();
-        assert_eq!(gemm_par_threshold(136, 16, 136), base * 3);
-        assert_eq!(gemm_par_threshold(136, 64, 136), base);
-    }
-
-    #[test]
-    fn axis_override_roundtrip() {
-        for axis in [ParAxis::Rows, ParAxis::Cols, ParAxis::Serial, ParAxis::Auto] {
-            set_gemm_axis(axis);
-            assert_eq!(gemm_axis(), axis);
-        }
-        set_gemm_axis(ParAxis::Auto);
     }
 }

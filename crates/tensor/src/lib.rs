@@ -18,11 +18,9 @@
 //!   every matmul variant (NN/TN/NT) funnels through: one micro-kernel,
 //!   variants expressed as packing-order differences, AVX2+FMA
 //!   multiversioned via `#[target_feature]` with a portable fallback.
-//! * [`pool`] — a std-only persistent worker pool behind the hot kernels.
-//!   Work splits over disjoint row chunks ([`pool::par_rows`]) or disjoint
-//!   output tiles ([`pool::par_tiles`], the GEMM column axis); every
-//!   element keeps a fixed serial reduction order, so results are
-//!   bit-identical to the serial kernels for every pool size.
+//!
+//! Every kernel runs on the thread that calls it; the crate spawns no
+//! thread. Serving scales by shards, each running its own forwards.
 //!
 //! ## Example
 //!
@@ -56,18 +54,31 @@ mod tape;
 
 pub mod gradcheck;
 pub mod kernel;
-pub mod pool;
 
 pub use gelu::gelu_in_place;
 pub use io::{read_matrix, write_matrix, Snapshot};
 pub use kernel::{
-    fma_enabled, gemm, gemm_packed, gemm_par_threshold, gemm_plan, gemm_serial, naive_gemm,
-    set_gemm_axis, PackedB, ParAxis, Plan, Variant,
+    fma_enabled, gemm, gemm_packed, gemm_serial, naive_gemm, set_gemm_axis, PackedB, ParAxis,
+    Variant,
 };
 pub use matrix::{dot, row_mean_inv_std, softmax_in_place, Matrix};
 pub use param::{Param, ParamSet};
-pub use pool::{
-    hardware_threads, par_rows, par_rows_mut, par_threshold, par_tiles, pool_dispatch_stats,
-    pool_threads, set_par_threshold, set_pool_threads, DEFAULT_PAR_THRESHOLD,
-};
 pub use tape::{Tape, Tensor};
+
+/// Threads a kernel runs on: always 1.
+/// Kept for the frozen benchmark until ROADMAP item 2(a) re-points its walk.
+pub fn pool_threads() -> usize {
+    1
+}
+
+/// Work above which a kernel would fork: never.
+/// Kept for the frozen benchmark until ROADMAP item 2(a) re-points its walk.
+pub fn par_threshold() -> usize {
+    usize::MAX
+}
+
+/// `(parallel, serial)` pool dispatches: always `(0, 0)`.
+/// Kept for the frozen benchmark until ROADMAP item 2(a) re-points its walk.
+pub fn pool_dispatch_stats() -> (usize, usize) {
+    (0, 0)
+}

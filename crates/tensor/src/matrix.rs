@@ -202,10 +202,8 @@ impl Matrix {
     ///
     /// Delegates to the packed microkernel engine ([`crate::kernel::gemm`],
     /// NN variant): both operands are repacked into cache-resident panels
-    /// and multiplied in 8x8 register tiles, parallel over row or column
-    /// panels as the shape warrants. Every output element is one continuous
-    /// ascending-k accumulation, so the result is bit-identical for every
-    /// pool size and either parallel axis. Mostly-zero `self` operands
+    /// and multiplied in 8x8 register tiles. Every output element is one
+    /// continuous ascending-k accumulation. Mostly-zero `self` operands
     /// (stacked masked attention probabilities) route to a zero-skipping
     /// kernel with the same accumulation order.
     ///
@@ -234,7 +232,7 @@ impl Matrix {
     ///
     /// Same packed engine as [`Matrix::matmul`] (TN variant): the transpose
     /// is absorbed into the A-panel packing order, after which the identical
-    /// micro-kernel runs — bit-identical across pool sizes and axes.
+    /// micro-kernel runs.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         let mut out = vec![0.0f32; self.cols * other.cols];
@@ -333,25 +331,16 @@ impl Matrix {
         best
     }
 
-    /// Row-wise softmax, numerically stabilized by subtracting the row max.
-    ///
-    /// Rows are independent, so batches run pool-parallel; each row is still
-    /// one serial [`softmax_in_place`], keeping results bit-identical across
-    /// pool sizes.
+    /// Row-wise softmax, numerically stabilized by subtracting the row max:
+    /// one [`softmax_in_place`] per row.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
         if self.cols == 0 {
             return out;
         }
-        let (rows, cols) = (self.rows, self.cols);
-        // exp + div per element is far heavier than a fused multiply-add;
-        // weight the work estimate accordingly.
-        let work = rows * cols * 8;
-        crate::pool::par_rows_mut(&mut out.data, cols, work, |_, rows_chunk| {
-            for row in rows_chunk.chunks_exact_mut(cols) {
-                softmax_in_place(row);
-            }
-        });
+        for row in out.data.chunks_exact_mut(self.cols) {
+            softmax_in_place(row);
+        }
         out
     }
 

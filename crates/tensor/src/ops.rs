@@ -487,23 +487,14 @@ impl Tensor {
                 let s = &v[out_id];
                 let (rows, cols) = g.shape();
                 let mut ga = Matrix::zeros(rows, cols);
-                // The softmax Jacobian is row-local, so the backward batches
-                // row-parallel like the forward; each row stays serial.
-                crate::pool::par_rows_mut(
-                    ga.data_mut(),
-                    cols.max(1),
-                    rows * cols * 4,
-                    |r0, chunk| {
-                        for (d, garow) in chunk.chunks_exact_mut(cols).enumerate() {
-                            let srow = s.row_slice(r0 + d);
-                            let grow = g.row_slice(r0 + d);
-                            let dotv: f32 = srow.iter().zip(grow).map(|(x, y)| x * y).sum();
-                            for ((o, &sv), &gv) in garow.iter_mut().zip(srow).zip(grow) {
-                                *o = sv * (gv - dotv);
-                            }
-                        }
-                    },
-                );
+                for (r, garow) in ga.data_mut().chunks_exact_mut(cols.max(1)).enumerate() {
+                    let srow = s.row_slice(r);
+                    let grow = g.row_slice(r);
+                    let dotv: f32 = srow.iter().zip(grow).map(|(x, y)| x * y).sum();
+                    for ((o, &sv), &gv) in garow.iter_mut().zip(srow).zip(grow) {
+                        *o = sv * (gv - dotv);
+                    }
+                }
                 acc(&mut grads[a], ga);
             })),
         )
@@ -517,10 +508,7 @@ impl Tensor {
         assert_eq!(beta.shape(), (1, self.cols()), "beta must be 1 x C");
         let (a, gid, bid) = (self.id, gamma.id, beta.id);
         let (rows, cols) = self.shape();
-        // Precompute normalized values and inverse std per row. Rows are
-        // independent, so the whole pass runs pool-parallel; every row's
-        // statistics are reduced serially on one thread, keeping the result
-        // bit-identical across pool sizes.
+        // Precompute normalized values and inverse std per row.
         let (value, xhat, inv_std) = {
             let inner = self.tape.inner.borrow();
             let x = &inner.values[a];
@@ -529,70 +517,38 @@ impl Tensor {
             let mut out = Matrix::zeros(rows, cols);
             let mut xh = Matrix::zeros(rows, cols);
             let mut istd = vec![0.0f32; rows];
-            // Three output buffers share one row partition, so the safe
-            // single-buffer `par_rows_mut` doesn't fit; hand each chunk raw
-            // row views instead. Chunks are disjoint, so the writes can't
-            // alias (same argument as split_at_mut).
-            let (po, ph, pi) = (
-                out.data_mut().as_mut_ptr() as usize,
-                xh.data_mut().as_mut_ptr() as usize,
-                istd.as_mut_ptr() as usize,
-            );
-            crate::pool::par_rows(rows, rows * cols * 4, |lo, hi| {
-                let n = hi - lo;
-                let (orows, hrows, irows) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut((po as *mut f32).add(lo * cols), n * cols),
-                        std::slice::from_raw_parts_mut((ph as *mut f32).add(lo * cols), n * cols),
-                        std::slice::from_raw_parts_mut((pi as *mut f32).add(lo), n),
-                    )
-                };
-                for (d, inv_slot) in irows.iter_mut().enumerate() {
-                    let row = x.row_slice(lo + d);
-                    let (mean, inv) = crate::matrix::row_mean_inv_std(row, eps);
-                    *inv_slot = inv;
-                    let orow = &mut orows[d * cols..(d + 1) * cols];
-                    let hrow = &mut hrows[d * cols..(d + 1) * cols];
-                    for (c, &rv) in row.iter().enumerate() {
-                        let h = (rv - mean) * inv;
-                        hrow[c] = h;
-                        orow[c] = gm.get(0, c) * h + bt.get(0, c);
-                    }
+            for (r, inv_slot) in istd.iter_mut().enumerate() {
+                let row = x.row_slice(r);
+                let (mean, inv) = crate::matrix::row_mean_inv_std(row, eps);
+                *inv_slot = inv;
+                let orow = &mut out.data_mut()[r * cols..(r + 1) * cols];
+                let hrow = &mut xh.data_mut()[r * cols..(r + 1) * cols];
+                for (c, &rv) in row.iter().enumerate() {
+                    let h = (rv - mean) * inv;
+                    hrow[c] = h;
+                    orow[c] = gm.get(0, c) * h + bt.get(0, c);
                 }
-            });
+            }
             (out, xh, istd)
         };
         self.tape.push(
             value,
             BackwardKind::Op(Box::new(move |g, v, grads| {
                 let gm = &v[gid];
-                // dx is row-local → pool-parallel. The dgamma/dbeta sums
-                // reduce *across* rows and must keep their serial
-                // accumulation order to stay bit-identical for every pool
-                // size, so they stay on the calling thread below.
                 let mut ga = Matrix::zeros(rows, cols);
-                crate::pool::par_rows_mut(
-                    ga.data_mut(),
-                    cols.max(1),
-                    rows * cols * 4,
-                    |r0, chunk| {
-                        for (d, garow) in chunk.chunks_exact_mut(cols).enumerate() {
-                            let inv = inv_std[r0 + d];
-                            let grow = g.row_slice(r0 + d);
-                            let hrow = xhat.row_slice(r0 + d);
-                            // dxhat = g * gamma
-                            let dxhat: Vec<f32> =
-                                (0..cols).map(|c| grow[c] * gm.get(0, c)).collect();
-                            let mean_dx = dxhat.iter().sum::<f32>() / cols as f32;
-                            let mean_dxh: f32 =
-                                dxhat.iter().zip(hrow).map(|(d, h)| d * h).sum::<f32>()
-                                    / cols as f32;
-                            for (c, o) in garow.iter_mut().enumerate() {
-                                *o = inv * (dxhat[c] - mean_dx - hrow[c] * mean_dxh);
-                            }
-                        }
-                    },
-                );
+                for (r, garow) in ga.data_mut().chunks_exact_mut(cols.max(1)).enumerate() {
+                    let inv = inv_std[r];
+                    let grow = g.row_slice(r);
+                    let hrow = xhat.row_slice(r);
+                    // dxhat = g * gamma
+                    let dxhat: Vec<f32> = (0..cols).map(|c| grow[c] * gm.get(0, c)).collect();
+                    let mean_dx = dxhat.iter().sum::<f32>() / cols as f32;
+                    let mean_dxh: f32 =
+                        dxhat.iter().zip(hrow).map(|(d, h)| d * h).sum::<f32>() / cols as f32;
+                    for (c, o) in garow.iter_mut().enumerate() {
+                        *o = inv * (dxhat[c] - mean_dx - hrow[c] * mean_dxh);
+                    }
+                }
                 let mut gg = Matrix::zeros(1, cols);
                 let mut gb = Matrix::zeros(1, cols);
                 for r in 0..rows {

@@ -53,14 +53,9 @@ fn grad_matmul_nt() {
 }
 
 #[test]
-fn grad_pooled_kernels_match_numeric_under_multithread_pool() {
+fn grad_matmul_layer_norm_softmax_chain() {
     // The whole matmul/matmul_nt/softmax/layer-norm chain, numeric-checked
-    // with the pool forced on (4 threads, threshold 1): the analytic
-    // backward must stay correct when every kernel dispatches across
-    // workers. Pool sizes are bit-identical by construction, so this does
-    // not disturb concurrently running tests.
-    intellitag_tensor::set_pool_threads(4);
-    intellitag_tensor::set_par_threshold(1);
+    // end to end.
     let a = p("a", 5, 6, 27);
     let b = p("b", 6, 6, 28);
     let gamma = p("gamma", 1, 6, 29);
@@ -75,8 +70,6 @@ fn grad_pooled_kernels_match_numeric_under_multithread_pool() {
         loss.backward();
         loss.scalar()
     });
-    intellitag_tensor::set_pool_threads(0);
-    intellitag_tensor::set_par_threshold(intellitag_tensor::DEFAULT_PAR_THRESHOLD);
 }
 
 #[test]

@@ -1,27 +1,19 @@
 //! Property tests for the packed GEMM microkernel engine.
 //!
-//! Two properties, checked at arbitrary `(m, k, n)` — including 0-row,
-//! 0-column, `1x1` and non-tile-divisible shapes — for all three variants:
+//! Checked at arbitrary `(m, k, n)` — including 0-row, 0-column, `1x1` and
+//! non-tile-divisible shapes — for all three variants:
 //!
 //! 1. **Accuracy**: the packed engine tracks the retained naive reference
 //!    ([`intellitag_tensor::naive_gemm`]) within a relative tolerance (the
 //!    engine may fuse multiply-adds; the reference never does).
-//! 2. **Determinism**: the output bits are identical across pool sizes
-//!    {1, 2, 4} *and* across forced parallel axes (serial, row panels,
-//!    column panels) — the engine's continuous ascending-k accumulation
-//!    makes partitioning invisible to the result.
-//!
-//! Operand values are drawn from a set that includes exact zeros so the
-//! sparse (zero-skipping) route is exercised and must agree bitwise too.
+//! 2. **Sparse route**: an NN product whose `A` is at least half exact zeros
+//!    takes the zero-skipping kernel, and its bits equal the dense packed
+//!    engine's ([`intellitag_tensor::gemm_serial`] skips the router).
 
-use intellitag_tensor::{
-    gemm, naive_gemm, set_gemm_axis, set_par_threshold, set_pool_threads, ParAxis, Variant,
-    DEFAULT_PAR_THRESHOLD,
-};
+use intellitag_tensor::{gemm, gemm_serial, naive_gemm, Matrix, Variant};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static KNOBS: Mutex<()> = Mutex::new(());
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Splitmix-style deterministic stream over a seed.
 struct Stream(u64);
@@ -62,11 +54,34 @@ fn run_gemm(v: Variant, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> V
     out.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Bits of the dense packed engine for an NN product (`gemm_serial` never
+/// takes the sparse route).
+fn dense_nn_bits(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<u32> {
+    let mut out = vec![0.0f32; m * n];
+    gemm_serial(Variant::NN, m, k, n, a, k, b, n, &mut out, n);
+    out.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn zero_skip_matmul_is_bitwise_the_dense_engine() {
+    // A large mostly-zero left operand routes `matmul` to the sparse kernel.
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut a = Matrix::uniform(64, 16, 1.0, &mut rng);
+    for (i, v) in a.data_mut().iter_mut().enumerate() {
+        if i % 2 == 0 {
+            *v = 0.0;
+        }
+    }
+    let b = Matrix::uniform(16, 24, 1.0, &mut rng);
+    let got: Vec<u32> = a.matmul(&b).data().iter().map(|x| x.to_bits()).collect();
+    assert_eq!(got, dense_nn_bits(64, 16, 24, a.data(), b.data()), "sparse matmul");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn engine_tracks_naive_and_is_partition_invariant(seed in any::<u64>()) {
+    fn engine_tracks_naive(seed in any::<u64>()) {
         let mut s = Stream(seed | 1);
         let v = match s.below(3) {
             0 => Variant::NN,
@@ -83,32 +98,31 @@ proptest! {
         let b: Vec<f32> = (0..b_len).map(|_| s.operand()).collect();
 
         let want = naive_gemm(v, m, k, n, &a, &b);
-
-        let guard = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-        set_par_threshold(1);
-        let mut all_bits: Vec<Vec<u32>> = Vec::new();
-        for axis in [ParAxis::Serial, ParAxis::Rows, ParAxis::Cols, ParAxis::Auto] {
-            set_gemm_axis(axis);
-            for threads in [1usize, 2, 4] {
-                set_pool_threads(threads);
-                all_bits.push(run_gemm(v, m, k, n, &a, &b));
-            }
-        }
-        set_pool_threads(0);
-        set_par_threshold(DEFAULT_PAR_THRESHOLD);
-        set_gemm_axis(ParAxis::Auto);
-        drop(guard);
-
-        for bits in &all_bits[1..] {
-            prop_assert_eq!(bits, &all_bits[0], "bits drifted across a pool size or axis");
-        }
-        for (i, (&got_bits, &exp)) in all_bits[0].iter().zip(&want).enumerate() {
+        for (i, (&got_bits, &exp)) in run_gemm(v, m, k, n, &a, &b).iter().zip(&want).enumerate() {
             let got = f32::from_bits(got_bits);
             prop_assert!(
                 (got - exp).abs() <= 1e-3 * (1.0 + exp.abs()),
                 "{:?} {}x{}x{} idx {}: {} vs naive {}", v, m, k, n, i, got, exp
             );
         }
+    }
+
+    #[test]
+    fn sparse_route_is_bitwise_the_dense_engine(seed in any::<u64>()) {
+        let mut s = Stream(seed | 1);
+        // `m * k >= 1024` and at least half of `A` zero: the router's floor.
+        let m = 32 + s.below(33) as usize;
+        let k = 32 + s.below(17) as usize;
+        let n = 1 + s.below(40) as usize;
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| if i % 2 == 0 || s.below(3) == 0 { 0.0 } else { s.operand() })
+            .collect();
+        let b: Vec<f32> = (0..k * n).map(|_| s.operand()).collect();
+        prop_assert_eq!(
+            run_gemm(Variant::NN, m, k, n, &a, &b),
+            dense_nn_bits(m, k, n, &a, &b),
+            "{}x{}x{}: sparse route drifted from the dense engine", m, k, n
+        );
     }
 
     #[test]

@@ -2,9 +2,22 @@
 
 use intellitag_tensor::{Matrix, Param, Tape};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
+}
+
+#[test]
+fn softmax_under_a_block_diagonal_mask_gives_exact_zeros() {
+    // Masked attention feeds -inf scores; exp(-inf) must be exactly 0.0.
+    let mut rng = StdRng::seed_from_u64(31);
+    let mask = Matrix::block_diag_mask(&[3, 2, 4]);
+    let x = Matrix::uniform(9, 9, 2.0, &mut rng).add(&mask).softmax_rows();
+    for (r, c) in [(0, 4), (4, 0), (8, 2)] {
+        assert_eq!(x.get(r, c), 0.0, "masked prob ({r},{c}) must be exactly zero");
+    }
 }
 
 proptest! {

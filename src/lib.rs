@@ -94,7 +94,4 @@ pub mod prelude {
         WalEvent, WalSink, WalWriter,
     };
     pub use intellitag_search::KbWarehouse;
-    pub use intellitag_tensor::{
-        par_threshold, pool_threads, set_par_threshold, set_pool_threads, DEFAULT_PAR_THRESHOLD,
-    };
 }
