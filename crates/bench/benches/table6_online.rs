@@ -53,7 +53,7 @@ fn run_bucket<M: SequenceRecommender>(
 /// differ (metapath2vec pays recall, the Transformers pay scoring).
 fn print_stage_breakdown(policy: &str, registry: &MetricsRegistry) {
     println!("  {policy}: stage breakdown (us)");
-    for stage in ["recall", "rerank", "score", "cache"] {
+    for stage in ["recall", "rerank", "score"] {
         let snap = registry.histogram(&format!("serving.stage.{stage}_us")).snapshot();
         if snap.count == 0 {
             continue;

@@ -12,7 +12,7 @@
 //! * [`ModelServer`] — the online request path of §V: BM25 recall + model
 //!   re-rank, precomputed tag embeddings, cold-start fallbacks, and
 //!   per-stage observability through `intellitag-obs` (span timing for
-//!   recall/rerank/score/cache, error and cold-start counters, bounded
+//!   recall/rerank/score, error and cold-start counters, bounded
 //!   latency histograms).
 //! * [`ShardedServer`] — the sharded, batched serving front: N worker
 //!   threads each owning a `ModelServer` replica, bounded request queues
@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod config;
 mod experiment;
 mod graph_layers;
@@ -43,7 +42,6 @@ mod serving;
 mod sharded;
 mod simulator;
 
-pub use cache::ResponseCache;
 pub use config::{TagRecConfig, TrainConfig};
 pub use experiment::{evaluate_offline, ProtocolConfig};
 pub use graph_layers::GraphLayers;

@@ -4,8 +4,8 @@
 //! popularity fallback for cold start, `asc`-relation tags after a question.
 //!
 //! Every request is instrumented through [`intellitag_obs`]: per-stage span
-//! timing (ES recall, Q&A-matcher rerank, model scoring, cache lookup),
-//! cache hit/miss and cold-start counters, per-tenant request counters, and
+//! timing (ES recall, Q&A-matcher rerank, model scoring), cold-start
+//! counters, per-tenant request counters, and
 //! bounded log2 latency histograms replacing the old unbounded latency log —
 //! the paper's §VI latency budget ("respond in under 150 ms", Table VI) is
 //! only actionable when you can see where the time goes.
@@ -21,7 +21,6 @@ use intellitag_obs::{
 };
 use intellitag_search::{Hit, KbWarehouse};
 
-use crate::cache::ResponseCache;
 use crate::qa_matcher::QaMatcher;
 use crate::ShedReason;
 
@@ -335,10 +334,6 @@ struct ServerMetrics {
     stage_rerank: Arc<Histogram>,
     /// Sequence-model scoring stage (`serving.stage.score_us`).
     stage_score: Arc<Histogram>,
-    /// Response-cache lookup stage (`serving.stage.cache_us`).
-    stage_cache: Arc<Histogram>,
-    cache_hit: Arc<Counter>,
-    cache_miss: Arc<Counter>,
     cold_start: Arc<Counter>,
     err_bad_tenant: Arc<Counter>,
     err_bad_tag: Arc<Counter>,
@@ -366,9 +361,6 @@ impl ServerMetrics {
             stage_recall: registry.histogram("serving.stage.recall_us"),
             stage_rerank: registry.histogram("serving.stage.rerank_us"),
             stage_score: registry.histogram("serving.stage.score_us"),
-            stage_cache: registry.histogram("serving.stage.cache_us"),
-            cache_hit: registry.counter("serving.cache.hit"),
-            cache_miss: registry.counter("serving.cache.miss"),
             cold_start: registry.counter("serving.cold_start_fallback"),
             err_bad_tenant: registry.counter("serving.error.bad_tenant"),
             err_bad_tag: registry.counter("serving.error.bad_tag"),
@@ -415,10 +407,6 @@ pub struct ModelServer<M: SequenceRecommender> {
     /// Recent raw latencies — bounded, unlike the old `Vec<u64>` log.
     recent_latencies: SampleRing,
     obs: ServerMetrics,
-    /// Optional response cache over `(tenant, clicks)` — the paper's §VII
-    /// future-work extension ("cache high-frequency data to decrease system
-    /// latency").
-    cache: Option<ResponseCache<(usize, Vec<usize>), TagClickResponse>>,
     /// Optional Q&A matching model re-ranking question recall (the deployed
     /// system's RoBERTa matcher, §V-A).
     qa_matcher: Option<QaMatcher>,
@@ -449,7 +437,6 @@ impl<M: SequenceRecommender> ModelServer<M> {
             tags_per_response: 5,
             questions_per_response: 3,
             recent_latencies: SampleRing::new(RECENT_LATENCY_WINDOW),
-            cache: None,
             qa_matcher: None,
         }
     }
@@ -476,17 +463,12 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// hot-swap path — [`crate::ShardedServer::spawn_swappable`] calls this
     /// strictly between micro-batch drains).
     ///
-    /// Besides replacing the scoring model, this invalidates the response
-    /// cache: its entries embed the *old* model's output, and serving them
-    /// after the swap would silently mix versions — exactly the staleness
-    /// the epoch fence exists to rule out. Post-swap responses are therefore
-    /// byte-identical to a server freshly built from the installed snapshot.
+    /// The replica keeps no other state derived from the model, so post-swap
+    /// responses are byte-identical to a server freshly built from the
+    /// installed snapshot.
     pub fn install_model(&mut self, model: M, version: u64) {
         self.model = model;
         self.model_version = version;
-        if let Some(cache) = &self.cache {
-            cache.clear();
-        }
         self.obs.model_version.set(version as f64);
         self.obs.swaps.inc();
     }
@@ -501,17 +483,10 @@ impl<M: SequenceRecommender> ModelServer<M> {
         self
     }
 
-    /// Enables the tag-click response cache (§VII future work). Call after
-    /// construction; [`ModelServer::install_model`] clears it, since cached
-    /// responses embed model output.
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(ResponseCache::new(capacity));
-        self
-    }
-
-    /// Cache hit rate so far, if the cache is enabled.
+    /// Always `None`: there is no response cache. Kept only because the
+    /// frozen benchmark reads it; goes with ROADMAP item 2(a)'s removals.
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        self.cache.as_ref().map(ResponseCache::hit_rate)
+        None
     }
 
     /// The wrapped recommender.
@@ -735,7 +710,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// history becomes an ES query whose recall is re-ranked by tag overlap.
     /// `traces` runs parallel to `reqs`; a missing entry means untraced.
     ///
-    /// Validation, the response cache and ranking run per request, while
+    /// Validation and ranking run per request, while
     /// the model forward is issued once via
     /// [`SequenceRecommender::score_candidates_batch`] over the deduplicated
     /// `(tenant, clicks)` rows, and BM25 recall once per row. Counters and
@@ -748,7 +723,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
         reqs: &[(usize, Vec<usize>)],
         traces: &[Option<&TraceHandle>],
     ) -> Vec<TagClickResponse> {
-        /// A request past validation and the cache, still to be answered.
+        /// A request past validation, still to be answered.
         struct Pending<'t> {
             idx: usize,
             tenant: usize,
@@ -763,25 +738,11 @@ impl<M: SequenceRecommender> ModelServer<M> {
             let (tenant, trace) = (*tenant, traces.get(idx).copied().flatten());
             let timer = SpanTimer::start();
             self.obs.tenant_request(tenant);
-            let Some(mut clicks) = self.valid_clicks(tenant, raw) else {
+            let Some(clicks) = self.valid_clicks(tenant, raw) else {
                 let latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
                 out[idx] = Some(TagClickResponse { latency_us, ..Default::default() });
                 continue;
             };
-            if let Some(cache) = &self.cache {
-                let key = (tenant, clicks);
-                let cache_span = self.obs.stage_cache.span();
-                let cached = trace_stage(trace, "cache", || cache.get(&key));
-                cache_span.finish();
-                if let Some(mut resp) = cached {
-                    self.obs.cache_hit.inc();
-                    resp.latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
-                    out[idx] = Some(resp);
-                    continue;
-                }
-                self.obs.cache_miss.inc();
-                clicks = key.1;
-            }
             pending.push(Pending { idx, tenant, clicks, timer, trace });
         }
 
@@ -832,11 +793,8 @@ impl<M: SequenceRecommender> ModelServer<M> {
             recalls[row] = Some(recall);
 
             let latency_us = self.finish_request(p.tenant, p.timer, &self.obs.click_latency);
-            let resp = TagClickResponse { recommended_tags, predicted_questions, latency_us };
-            if let Some(cache) = &self.cache {
-                cache.put((p.tenant, p.clicks), resp.clone());
-            }
-            out[p.idx] = Some(resp);
+            out[p.idx] =
+                Some(TagClickResponse { recommended_tags, predicted_questions, latency_us });
         }
         out.into_iter().map(|r| r.expect("every request produced a response")).collect()
     }
@@ -969,22 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeated_clicks() {
-        let s = server().with_cache(16);
-        let a = s.handle_tag_click(0, &[0, 1]);
-        let b = s.handle_tag_click(0, &[0, 1]);
-        assert_eq!(a.recommended_tags, b.recommended_tags);
-        assert_eq!(a.predicted_questions, b.predicted_questions);
-        assert_eq!(s.cache_hit_rate(), Some(0.5));
-        assert_eq!(counter_value(&s, "serving.cache.hit"), 1);
-        assert_eq!(counter_value(&s, "serving.cache.miss"), 1);
-        // Different key misses.
-        let _ = s.handle_tag_click(0, &[1]);
-        assert!(s.cache_hit_rate().unwrap() < 0.5);
-        assert_eq!(counter_value(&s, "serving.cache.miss"), 2);
-    }
-
-    #[test]
     fn qa_matcher_reranks_question_recall() {
         use crate::qa_matcher::{QaMatcher, QaMatcherConfig};
         // Train a matcher whose pairs bind "passphrase" queries to RQ 0.
@@ -1057,20 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_clicks_with_cache_hit_and_fill() {
-        let s = server().with_cache(16);
-        let warm = s.handle_tag_click(0, &[0, 1]);
-        let batched = s.handle_tag_click_batch(&[(0, vec![0, 1]), (0, vec![2])]);
-        // First request hits the warm cache entry; second misses and fills.
-        assert!(batched[0].same_content(&warm));
-        assert_eq!(counter_value(&s, "serving.cache.hit"), 1);
-        assert_eq!(counter_value(&s, "serving.cache.miss"), 2);
-        let again = s.handle_tag_click(0, &[2]);
-        assert!(again.same_content(&batched[1]), "batch-computed responses are cached");
-        assert_eq!(counter_value(&s, "serving.cache.hit"), 2);
-    }
-
-    #[test]
     fn empty_batch_is_a_no_op() {
         let s = server();
         assert!(s.handle_tag_click_batch(&[]).is_empty());
@@ -1118,7 +1046,7 @@ mod tests {
 
     #[test]
     fn traced_click_records_stage_spans_and_matches_untraced() {
-        let s = server().with_cache(8);
+        let s = server();
         let trace = TraceHandle::new(0xfeed);
         let Reply::TagClick(traced) =
             traced(&s, Request::TagClick { tenant: 0, clicks: vec![0, 1] }, &trace)
@@ -1130,7 +1058,7 @@ mod tests {
         let done = trace.finish();
         assert_eq!(done.trace_id, 0xfeed);
         let names: Vec<&str> = done.spans.iter().map(|sp| sp.name).collect();
-        assert_eq!(names, vec!["cache", "score", "recall", "rerank"]);
+        assert_eq!(names, vec!["score", "recall", "rerank"]);
         for sp in &done.spans {
             assert!(sp.end_us >= sp.start_us);
         }
@@ -1227,14 +1155,10 @@ mod tests {
 
     #[test]
     fn install_model_invalidates_caches_and_bumps_version() {
-        // The latent stale-cache bug the hot-swap exposes: the response
-        // cache holds *old-model* output, so a swap that kept it would
-        // answer repeated keys from the previous version. install_model
-        // must clear it.
-        let mut s = server().with_cache(16);
+        // No answer derived from the old model may survive a swap: a
+        // repeated key must be answered by the installed version.
+        let mut s = server();
         let pre = s.handle_tag_click(0, &[1]);
-        let _ = s.handle_tag_click(0, &[1]); // warm the cache
-        assert_eq!(counter_value(&s, "serving.cache.hit"), 1);
         assert_eq!(s.model_version(), 0);
         assert_eq!(s.metrics().gauge("serving.model_version").get(), 0.0);
 
@@ -1245,7 +1169,6 @@ mod tests {
         assert_eq!(s.model_version(), 7);
         assert_eq!(s.metrics().gauge("serving.model_version").get(), 7.0);
         assert_eq!(counter_value(&s, "serving.swaps"), 1);
-        assert_eq!(s.cache_hit_rate(), Some(0.0), "response cache cleared");
 
         // A fresh server built directly from the new model is the oracle:
         // the swapped server must answer repeated keys identically to it.
@@ -1267,14 +1190,6 @@ mod tests {
         assert_eq!(s.model_version(), 3);
         assert_eq!(TagService::model_version(&s), 3);
         assert_eq!(registry.gauge("serving.model_version").get(), 3.0);
-    }
-
-    #[test]
-    fn cache_disabled_by_default() {
-        let s = server();
-        let _ = s.handle_tag_click(0, &[0]);
-        assert_eq!(s.cache_hit_rate(), None);
-        assert_eq!(s.metrics().histogram("serving.stage.cache_us").count(), 0);
     }
 
     #[test]
@@ -1380,10 +1295,10 @@ mod tests {
 
     #[test]
     fn per_stage_histograms_populate() {
-        let s = server().with_cache(8);
+        let s = server();
         let _ = s.handle_tag_click(0, &[0, 1]);
         let m = s.metrics();
-        for stage in ["recall", "rerank", "score", "cache"] {
+        for stage in ["recall", "rerank", "score"] {
             let h = m.histogram(&format!("serving.stage.{stage}_us"));
             assert_eq!(h.count(), 1, "stage {stage} not timed");
         }

@@ -6,7 +6,7 @@
 //! (§V): the deployed stack serves heavy tenant traffic with strict latency
 //! SLOs (Table VI), which a single synchronous server cannot absorb. The
 //! front routes each request to its tenant's shard (`tenant % shards`,
-//! keeping a tenant's cache and counters shard-local), micro-batches queue
+//! keeping a tenant's counters shard-local), micro-batches queue
 //! drains (up to `batch_max` requests per wakeup, amortizing scheduler round
 //! trips), and degrades gracefully under overload: queues are bounded,
 //! [`Admission::Shed`] submissions shed with a counter instead of blocking,
@@ -155,9 +155,8 @@ struct WorkerSwap<M> {
 impl<M: SequenceRecommender> WorkerSwap<M> {
     /// The epoch fence. Called between drains — after a batch is collected
     /// but before any of it is served — so every request in a drain is
-    /// answered by exactly one model version. [`ModelServer::install_model`]
-    /// also drops the response cache, so no post-swap request can observe a
-    /// score computed by the previous version.
+    /// answered by exactly one model version, and no post-swap request can
+    /// observe a score computed by the previous version.
     fn apply_pending(&mut self, server: &mut ModelServer<M>) {
         let Some(payload) = self.swap.newer_than(self.seen) else { return };
         let model = (self.loader)(self.shard, &payload);
@@ -292,8 +291,7 @@ impl ShardedServer {
     /// `IntelliTag::load` over an `IntelliTag::save` artifact).
     ///
     /// Swapping never loses requests: requests already drained are served
-    /// by the old version, later drains by the new one, and the cache the
-    /// replica keeps is invalidated as part of the install.
+    /// by the old version, later drains by the new one.
     pub fn spawn_swappable<M, F, L>(
         cfg: ShardConfig,
         registry: MetricsRegistry,
@@ -1155,7 +1153,6 @@ mod tests {
                     shard,
                     log: Arc::clone(&factory_log),
                 })
-                .with_cache(32)
                 .with_model_version(1)
             },
             swap.clone(),
@@ -1168,11 +1165,11 @@ mod tests {
         );
         assert_eq!(front.model_version(), 1);
 
-        // Two client threads hammer repeated keys (so caches actually
-        // serve) while the publisher swaps mid-stream: every reply must be
-        // whole and must match one of the two versions exactly — a blend
-        // (stale cached row + fresh scores) matches neither. Oracles are
-        // built per thread: `ModelServer` is deliberately not `Sync`.
+        // Two client threads hammer repeated keys while the publisher swaps
+        // mid-stream: every reply must be whole and must match one of the
+        // two versions exactly — a blend (a drain that mixed versions)
+        // matches neither. Oracles are built per thread: `ModelServer` is
+        // deliberately not `Sync`.
         std::thread::scope(|s| {
             let front = &front;
             for tenant in 0..2usize {
@@ -1206,8 +1203,8 @@ mod tests {
         });
 
         // One request per shard forces a post-publish drain: the fence runs
-        // before the drain is served, so these replies are already v2 and
-        // repeated keys prove the caches were dropped with the old model.
+        // before the drain is served, so these replies are already v2: a
+        // repeated key answered by the old model would fail the oracle.
         let oracle_v2 = server_with(Popularity::from_counts(&v2));
         for tenant in 0..2usize {
             let key: &[usize] = if tenant == 0 { &[0] } else { &[4] };

@@ -1,11 +1,8 @@
-//! Export formats: Prometheus text exposition and JSON-lines snapshots.
-//!
-//! Both are dependency-free by design (the build environment is offline).
-//! The JSON-lines form is the lossless one — [`parse_json_lines`] restores
-//! the exact [`MetricSample`]s, which the tests use for round-trip checks
-//! and the dashboard example uses to post-process snapshots.
+//! Export format: Prometheus text exposition, dependency-free by design
+//! (the build environment is offline). [`parse_prometheus`] is the
+//! scrape-side inverse the tests use for round-trip checks.
 
-use crate::histogram::{bucket_bounds, bucket_index_for_value, HistogramSnapshot, SUB_BUCKETS};
+use crate::histogram::{bucket_bounds, bucket_index_for_value, HistogramSnapshot};
 
 /// A point-in-time sample of one named metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,6 +303,10 @@ impl PendingHistogram {
     }
 }
 
+fn parse_u64(v: &str) -> Result<u64, String> {
+    v.parse::<u64>().map_err(|_| format!("expected integer, got `{v}`"))
+}
+
 /// Parses Prometheus text exposition produced by [`render_prometheus`] back
 /// into samples — the scrape-side inverse used by the round-trip property
 /// tests and by anything consuming a scraped snapshot.
@@ -411,273 +412,6 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<MetricSample>, String> {
     Ok(out)
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn render_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no literal for NaN/Inf.
-        "null".to_string()
-    }
-}
-
-/// Renders samples as JSON lines: one self-describing object per line.
-pub fn render_json_lines(samples: &[MetricSample]) -> String {
-    let mut out = String::new();
-    for s in samples {
-        match s {
-            MetricSample::Counter { name, value } => {
-                out.push_str(&format!(
-                    "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}\n",
-                    escape_json(name)
-                ));
-            }
-            MetricSample::Gauge { name, value } => {
-                out.push_str(&format!(
-                    "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}\n",
-                    escape_json(name),
-                    render_json_f64(*value)
-                ));
-            }
-            MetricSample::Histogram { name, snapshot } => {
-                let buckets: Vec<String> =
-                    snapshot.buckets.iter().map(|(i, c)| format!("[{i},{c}]")).collect();
-                // `hdr` records the sub-bucket resolution the indices were
-                // computed under; the parser refuses mismatched layouts so
-                // stale pre-HDR snapshots can't be silently misread.
-                out.push_str(&format!(
-                    "{{\"type\":\"histogram\",\"hdr\":{},\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}\n",
-                    SUB_BUCKETS,
-                    escape_json(name),
-                    snapshot.count,
-                    snapshot.sum,
-                    snapshot.min,
-                    snapshot.max,
-                    buckets.join(",")
-                ));
-            }
-        }
-    }
-    out
-}
-
-fn unescape_json(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('/') => out.push('/'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code =
-                    u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
-            }
-            other => return Err(format!("bad escape `\\{other:?}`")),
-        }
-    }
-    Ok(out)
-}
-
-/// Splits the interior of a JSON object into top-level `key:value` field
-/// strings (tracks string and bracket nesting; no allocation per char).
-fn split_fields(body: &str) -> Vec<&str> {
-    let mut fields = Vec::new();
-    let (mut depth, mut in_str, mut esc, mut start) = (0i32, false, false, 0usize);
-    for (i, b) in body.bytes().enumerate() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if b == b'\\' {
-                esc = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => {
-                fields.push(body[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    let last = body[start..].trim();
-    if !last.is_empty() {
-        fields.push(last);
-    }
-    fields
-}
-
-/// Parses one `"key":value` field into `(key, raw value)`.
-fn split_key_value(field: &str) -> Result<(String, &str), String> {
-    let field = field.trim();
-    if !field.starts_with('"') {
-        return Err(format!("field does not start with a quoted key: `{field}`"));
-    }
-    // Find the closing quote of the key (keys we emit never contain escapes
-    // that hide quotes incorrectly because we scan escape-aware).
-    let bytes = field.as_bytes();
-    let mut esc = false;
-    for i in 1..bytes.len() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match bytes[i] {
-            b'\\' => esc = true,
-            b'"' => {
-                let key = unescape_json(&field[1..i])?;
-                let rest = field[i + 1..].trim_start();
-                let value = rest
-                    .strip_prefix(':')
-                    .ok_or_else(|| format!("missing `:` in field `{field}`"))?;
-                return Ok((key, value.trim()));
-            }
-            _ => {}
-        }
-    }
-    Err(format!("unterminated key in field `{field}`"))
-}
-
-fn parse_quoted(v: &str) -> Result<String, String> {
-    let inner = v
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected string, got `{v}`"))?;
-    unescape_json(inner)
-}
-
-fn parse_u64(v: &str) -> Result<u64, String> {
-    v.parse::<u64>().map_err(|_| format!("expected integer, got `{v}`"))
-}
-
-fn parse_f64(v: &str) -> Result<f64, String> {
-    if v == "null" {
-        return Ok(f64::NAN);
-    }
-    v.parse::<f64>().map_err(|_| format!("expected number, got `{v}`"))
-}
-
-fn parse_buckets(v: &str) -> Result<Vec<(usize, u64)>, String> {
-    let body = v
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("expected array, got `{v}`"))?;
-    let mut out = Vec::new();
-    for pair in split_fields(body) {
-        let inner = pair
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .ok_or_else(|| format!("expected [index,count], got `{pair}`"))?;
-        let mut it = inner.split(',');
-        let idx = parse_u64(it.next().unwrap_or("").trim())? as usize;
-        let count = parse_u64(it.next().ok_or("missing bucket count")?.trim())?;
-        out.push((idx, count));
-    }
-    Ok(out)
-}
-
-/// Parses a JSON-lines snapshot produced by [`render_json_lines`] back into
-/// samples. Restores counters, gauges (non-finite values come back as NaN)
-/// and histograms exactly.
-pub fn parse_json_lines(text: &str) -> Result<Vec<MetricSample>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let body = line
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("line {}: not an object: `{line}`", lineno + 1))?;
-        let mut kind = None;
-        let mut name = None;
-        let mut value_raw = None;
-        let mut hdr = None;
-        let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, 0u64, 0u64);
-        let mut buckets = Vec::new();
-        for field in split_fields(body) {
-            let (key, raw) =
-                split_key_value(field).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let res: Result<(), String> = (|| {
-                match key.as_str() {
-                    "type" => kind = Some(parse_quoted(raw)?),
-                    "name" => name = Some(parse_quoted(raw)?),
-                    "value" => value_raw = Some(raw.to_string()),
-                    "hdr" => hdr = Some(parse_u64(raw)?),
-                    "count" => count = parse_u64(raw)?,
-                    "sum" => sum = parse_u64(raw)?,
-                    "min" => min = parse_u64(raw)?,
-                    "max" => max = parse_u64(raw)?,
-                    "buckets" => buckets = parse_buckets(raw)?,
-                    _ => {} // forward compatible: ignore unknown fields
-                }
-                Ok(())
-            })();
-            res.map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        }
-        let name = name.ok_or_else(|| format!("line {}: missing name", lineno + 1))?;
-        if kind.as_deref() == Some("histogram") && hdr != Some(SUB_BUCKETS as u64) {
-            return Err(format!(
-                "line {}: histogram `{name}` uses bucket layout hdr={:?}, expected hdr={} \
-                 (pre-HDR snapshots lack the marker and must be re-captured)",
-                lineno + 1,
-                hdr,
-                SUB_BUCKETS
-            ));
-        }
-        let sample = match kind.as_deref() {
-            Some("counter") => MetricSample::Counter {
-                name,
-                value: parse_u64(value_raw.as_deref().unwrap_or("0"))
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?,
-            },
-            Some("gauge") => MetricSample::Gauge {
-                name,
-                value: parse_f64(value_raw.as_deref().unwrap_or("null"))
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?,
-            },
-            Some("histogram") => MetricSample::Histogram {
-                name,
-                snapshot: HistogramSnapshot { count, sum, min, max, buckets },
-            },
-            other => return Err(format!("line {}: unknown metric type {other:?}", lineno + 1)),
-        };
-        out.push(sample);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,7 +419,7 @@ mod tests {
 
     fn sample_registry() -> MetricsRegistry {
         let r = MetricsRegistry::new();
-        r.counter("serving.cache.hit").add(7);
+        r.counter("serving.requests").add(7);
         r.gauge("online.macro_ctr").set(0.4375);
         let h = r.histogram("serving.stage.recall_us");
         for v in [0, 1, 3, 900, 1_000_000] {
@@ -697,7 +431,7 @@ mod tests {
     #[test]
     fn prometheus_exposition_shape() {
         let text = sample_registry().render_prometheus();
-        assert!(text.contains("# TYPE serving_cache_hit counter\nserving_cache_hit 7\n"));
+        assert!(text.contains("# TYPE serving_requests counter\nserving_requests 7\n"));
         assert!(text.contains("# TYPE online_macro_ctr gauge\nonline_macro_ctr 0.4375\n"));
         assert!(text.contains("# TYPE serving_stage_recall_us histogram\n"));
         // Cumulative buckets: sub-16 values get exact buckets; 900 lands in
@@ -816,60 +550,9 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_round_trip() {
-        let snap = sample_registry().snapshot();
-        let text = render_json_lines(&snap);
-        assert_eq!(text.lines().count(), 3);
-        let back = parse_json_lines(&text).expect("parse");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn json_round_trips_awkward_names() {
-        let samples = vec![
-            MetricSample::Counter { name: "quote\"back\\slash\ttab".into(), value: 3 },
-            MetricSample::Gauge { name: "nan gauge".into(), value: f64::INFINITY },
-        ];
-        let text = render_json_lines(&samples);
-        let back = parse_json_lines(&text).expect("parse");
-        assert_eq!(back[0], samples[0]);
-        // Non-finite gauges degrade to NaN (JSON has no Inf literal).
-        match &back[1] {
-            MetricSample::Gauge { name, value } => {
-                assert_eq!(name, "nan gauge");
-                assert!(value.is_nan());
-            }
-            other => panic!("wrong sample {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse_json_lines("not json").is_err());
-        assert!(parse_json_lines("{\"type\":\"widget\",\"name\":\"x\"}").is_err());
-        assert!(parse_json_lines("{\"type\":\"counter\",\"value\":1}").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_pre_hdr_histogram_snapshots() {
-        // A histogram line without the `hdr` marker (pre-HDR format) must be
-        // refused with a clear error, not silently misinterpreted.
-        let old = "{\"type\":\"histogram\",\"name\":\"lat\",\"count\":2,\"sum\":10,\
-                   \"min\":1,\"max\":9,\"buckets\":[[1,1],[4,1]]}";
-        let err = parse_json_lines(old).unwrap_err();
-        assert!(err.contains("bucket layout"), "unexpected error: {err}");
-        assert!(err.contains("hdr"), "unexpected error: {err}");
-        // Wrong resolution is rejected too.
-        let wrong = "{\"type\":\"histogram\",\"hdr\":8,\"name\":\"lat\",\"count\":0,\
-                     \"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]}";
-        assert!(parse_json_lines(wrong).is_err());
-        // Counters and gauges are unaffected by the marker rule.
-        assert!(parse_json_lines("{\"type\":\"counter\",\"name\":\"c\",\"value\":1}").is_ok());
-    }
-
-    #[test]
     fn empty_input_parses_to_nothing() {
-        assert_eq!(parse_json_lines("").unwrap(), Vec::new());
-        assert_eq!(parse_json_lines("\n  \n").unwrap(), Vec::new());
+        assert_eq!(MetricsRegistry::new().render_prometheus(), "");
+        assert_eq!(parse_prometheus("").unwrap(), Vec::new());
+        assert_eq!(parse_prometheus("\n  \n").unwrap(), Vec::new());
     }
 }

@@ -157,7 +157,7 @@ impl Histogram {
 }
 
 /// An immutable histogram snapshot: sparse `(bucket index, count)` pairs
-/// plus aggregates. This is also the JSON-lines wire form.
+/// plus aggregates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples.

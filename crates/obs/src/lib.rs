@@ -4,7 +4,7 @@
 //! online evaluation (§VI) is driven by operational metrics — CTR, HIR and a
 //! hard "respond in under 150 ms" latency budget (Table VI) — and a system
 //! serving heavy traffic needs to know *where* a request spends its time
-//! (ES recall vs. Q&A rerank vs. model scoring vs. cache lookup), not just
+//! (ES recall vs. Q&A rerank vs. model scoring), not just
 //! the end-to-end number.
 //!
 //! Everything here is `std`-only (the build environment is offline) and
@@ -19,9 +19,8 @@
 //! * [`SampleRing`] — bounded ring of recent raw samples, replacing the
 //!   unbounded `Vec<u64>` latency log the server used to keep.
 //! * [`MetricsRegistry`] — a cloneable handle mapping names to metrics,
-//!   with Prometheus text exposition and JSON-lines snapshots
-//!   ([`MetricsRegistry::render_prometheus`],
-//!   [`MetricsRegistry::render_json_lines`], [`parse_json_lines`]).
+//!   with Prometheus text exposition
+//!   ([`MetricsRegistry::render_prometheus`]).
 //! * Labeled series — [`labeled`] encodes `base{k="v"}` names so per-shard
 //!   metrics (`sharded.request_us{shard="3"}`) render as proper Prometheus
 //!   label sets; [`parse_prometheus`] is the scrape-side inverse and
@@ -49,9 +48,7 @@ mod ring;
 mod slo;
 mod trace;
 
-pub use export::{
-    labeled, parse_json_lines, parse_prometheus, render_json_lines, render_prometheus, MetricSample,
-};
+pub use export::{labeled, parse_prometheus, render_prometheus, MetricSample};
 pub use histogram::{
     bucket_bounds, bucket_index_for_value, Histogram, HistogramSnapshot, Span, SpanTimer,
     NUM_BUCKETS, SUB_BUCKETS,
@@ -60,8 +57,7 @@ pub use metric::{Counter, Gauge};
 pub use online::{
     MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC, SNAPSHOT_VERSION_METRIC, TRAINER_EVENTS_METRIC,
     TRAINER_INCREMENTS_METRIC, WAL_APPENDS_METRIC, WAL_APPEND_ERRORS_METRIC, WAL_BYTES_METRIC,
-    WAL_COMPACTED_SEGMENTS_METRIC, WAL_FSYNCS_METRIC, WAL_ROTATIONS_METRIC, WAL_SEGMENTS_METRIC,
-    WAL_TRUNCATED_BYTES_METRIC,
+    WAL_FSYNCS_METRIC, WAL_TRUNCATED_BYTES_METRIC,
 };
 pub use registry::{Metric, MetricsRegistry};
 pub use ring::SampleRing;

@@ -32,17 +32,6 @@ pub const WAL_TRUNCATED_BYTES_METRIC: &str = "wal.truncated_bytes";
 /// serving path never blocks on a failing disk).
 pub const WAL_APPEND_ERRORS_METRIC: &str = "wal.append_errors";
 
-/// Counter: segment rolls performed by the segmented WAL (a new segment
-/// file opened once the active one crossed its size threshold).
-pub const WAL_ROTATIONS_METRIC: &str = "wal.rotations";
-
-/// Gauge: segment files currently on disk in the segmented WAL directory.
-pub const WAL_SEGMENTS_METRIC: &str = "wal.segments";
-
-/// Counter: segment files deleted by compaction (every record they held
-/// was behind the latest persisted snapshot cursor).
-pub const WAL_COMPACTED_SEGMENTS_METRIC: &str = "wal.compacted_segments";
-
 /// Counter: training increments completed by the online trainer.
 pub const TRAINER_INCREMENTS_METRIC: &str = "trainer.increments";
 

@@ -179,12 +179,6 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         export::render_prometheus(&self.snapshot())
     }
-
-    /// JSON-lines snapshot (one metric object per line); round-trips through
-    /// [`crate::parse_json_lines`].
-    pub fn render_json_lines(&self) -> String {
-        export::render_json_lines(&self.snapshot())
-    }
 }
 
 #[cfg(test)]

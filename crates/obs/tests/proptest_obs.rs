@@ -1,12 +1,8 @@
 //! Property tests for the observability primitives: histogram quantile
 //! monotonicity and HDR relative-error bounds, merge-equals-concat
-//! recording, and Prometheus/JSON-export round-trips on arbitrary sample
-//! sets (including rejection of pre-HDR snapshot formats).
+//! recording, and Prometheus round-trips on arbitrary sample sets.
 
-use intellitag_obs::{
-    labeled, parse_json_lines, parse_prometheus, render_json_lines, render_prometheus, Histogram,
-    MetricSample,
-};
+use intellitag_obs::{labeled, parse_prometheus, render_prometheus, Histogram, MetricSample};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -113,17 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn json_lines_round_trips_arbitrary_histograms(hists in vec(vec(0u64..u64::MAX, 0..60), 1..5),
-                                                   label in "[a-zA-Z0-9 \\\\\"{},=_.-]{0,10}") {
-        let samples = sample_set(&[], &[], &hists, &label);
-        let text = render_json_lines(&samples);
-        let back = parse_json_lines(&text);
-        prop_assert!(back.is_ok(), "parse failed: {:?}", back.err());
-        // JSON lines are the lossless format: exact equality, labels and all.
-        prop_assert_eq!(back.unwrap(), samples);
-    }
-
-    #[test]
     fn hdr_quantiles_stay_within_relative_error(samples in vec(0u64..50_000_000, 1..400),
                                                 raw_q in 0.0f64..1.0) {
         // The advertised HDR guarantee: every quantile estimate is within
@@ -141,20 +126,5 @@ proptest! {
         let err = est.abs_diff(truth) as f64;
         prop_assert!(err <= (truth as f64 / 16.0).max(1.0),
                      "q={q}: est {est} vs truth {truth} (err {err})");
-    }
-
-    #[test]
-    fn old_format_json_histograms_are_rejected(count in 1u64..100, idx in 0usize..64) {
-        // Pre-HDR snapshots have no `hdr` marker; silently reinterpreting
-        // their log2 bucket indices under the HDR layout would corrupt every
-        // quantile, so the parser must refuse them with a clear error.
-        let old = format!(
-            "{{\"type\":\"histogram\",\"name\":\"lat\",\"count\":{count},\"sum\":0,\
-             \"min\":0,\"max\":0,\"buckets\":[[{idx},{count}]]}}"
-        );
-        let err = parse_json_lines(&old);
-        prop_assert!(err.is_err());
-        let msg = err.unwrap_err();
-        prop_assert!(msg.contains("hdr"), "error not explanatory: {msg}");
     }
 }

@@ -12,10 +12,7 @@
 //!   ([`WalWriter`] / [`recover`]). Records reuse the gateway wire
 //!   protocol's LEB128 varints; appends are fsync-batched; recovery
 //!   truncates torn tails to the longest valid prefix (pinned at every
-//!   byte offset by `tests/wal_recovery.rs`). [`SegmentedWal`] spreads
-//!   the same format over size-bounded segment files, rolled as they
-//!   fill and deleted by [`SegmentedWal::compact`] once every record
-//!   they hold is behind the latest snapshot's persisted cursor.
+//!   byte offset by `tests/wal_recovery.rs`).
 //! * [`sink`] — [`WalSink`], the gateway [`EventSink`] that feeds the log
 //!   from the serving path, best-effort and non-blocking.
 //! * [`trainer`] — [`OnlineTrainer`], which tails the WAL in batches and
@@ -46,6 +43,6 @@ pub use sink::WalSink;
 pub use snapshot::{ModelSnapshot, SnapshotRegistry, SNAPSHOT_MAGIC};
 pub use trainer::{OnlineTrainer, TrainerConfig};
 pub use wal::{
-    click_sessions, crc32, decode_all, decode_records, list_segments, read_segments, recover,
-    Recovered, SegmentedWal, WalEvent, WalWriter, MAX_RECORD_BYTES, WAL_MAGIC,
+    click_sessions, crc32, decode_all, decode_records, recover, Recovered, WalEvent, WalWriter,
+    MAX_RECORD_BYTES, WAL_MAGIC,
 };

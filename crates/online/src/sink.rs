@@ -14,34 +14,11 @@ use std::sync::{Arc, Mutex};
 use intellitag_gateway::EventSink;
 use intellitag_obs::{Counter, MetricsRegistry, WAL_APPEND_ERRORS_METRIC};
 
-use crate::wal::{SegmentedWal, WalEvent, WalWriter};
-
-/// The sink's backing log: one file forever, or a rolling segment
-/// directory that compaction can shrink.
-enum Log {
-    Single(WalWriter),
-    Segmented(SegmentedWal),
-}
-
-impl Log {
-    fn append(&mut self, event: &WalEvent) -> std::io::Result<()> {
-        match self {
-            Log::Single(w) => w.append(event),
-            Log::Segmented(w) => w.append(event),
-        }
-    }
-
-    fn sync(&mut self) -> std::io::Result<()> {
-        match self {
-            Log::Single(w) => w.sync(),
-            Log::Segmented(w) => w.sync(),
-        }
-    }
-}
+use crate::wal::{WalEvent, WalWriter};
 
 /// Bridges the gateway's served-request stream into the WAL.
 pub struct WalSink {
-    log: Mutex<Log>,
+    writer: Mutex<WalWriter>,
     append_errors: Arc<Counter>,
 }
 
@@ -50,23 +27,14 @@ impl WalSink {
     /// same registry the writer was opened with.
     pub fn new(writer: WalWriter, registry: &MetricsRegistry) -> WalSink {
         WalSink {
-            log: Mutex::new(Log::Single(writer)),
-            append_errors: registry.counter(WAL_APPEND_ERRORS_METRIC),
-        }
-    }
-
-    /// Wraps an opened [`SegmentedWal`]: same serving-path semantics, but
-    /// the log rolls segments and [`WalSink::compact`] can reclaim them.
-    pub fn segmented(wal: SegmentedWal, registry: &MetricsRegistry) -> WalSink {
-        WalSink {
-            log: Mutex::new(Log::Segmented(wal)),
+            writer: Mutex::new(writer),
             append_errors: registry.counter(WAL_APPEND_ERRORS_METRIC),
         }
     }
 
     fn append(&self, event: &WalEvent) {
-        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        if log.append(event).is_err() {
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        if writer.append(event).is_err() {
             self.append_errors.inc();
         }
     }
@@ -75,24 +43,9 @@ impl WalSink {
     /// once the OS page cache would survive — tests call this before
     /// polling to make the hand-off deterministic).
     pub fn sync(&self) {
-        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        if log.sync().is_err() {
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        if writer.sync().is_err() {
             self.append_errors.inc();
-        }
-    }
-
-    /// Deletes sealed segments wholly behind `persisted_cursor` (the WAL
-    /// cursor of the latest durable snapshot). A no-op for single-file
-    /// sinks; best-effort like appends — a failed compaction counts an
-    /// error and keeps serving. Returns how many segments were deleted.
-    pub fn compact(&self, persisted_cursor: u64) -> usize {
-        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        match &mut *log {
-            Log::Single(_) => 0,
-            Log::Segmented(w) => w.compact(persisted_cursor).unwrap_or_else(|_| {
-                self.append_errors.inc();
-                0
-            }),
         }
     }
 }
@@ -142,32 +95,6 @@ mod tests {
         );
         assert_eq!(metrics.counter(WAL_APPEND_ERRORS_METRIC).get(), 0);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn segmented_sink_rolls_and_compacts_behind_a_cursor() {
-        use crate::wal::{list_segments, read_segments, SegmentedWal, WAL_MAGIC};
-
-        let metrics = MetricsRegistry::new();
-        let dir = std::env::temp_dir().join(format!("itag-sink-seg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (wal, _) = SegmentedWal::open(&dir, 48, 2, &metrics).unwrap();
-        let sink = WalSink::segmented(wal, &metrics);
-        for i in 0..20 {
-            sink.tag_click(i, &[i, i + 1]);
-        }
-        sink.sync();
-        let starts = list_segments(&dir).unwrap();
-        assert!(starts.len() >= 3, "sink appends must roll segments: {starts:?}");
-        let (events, end) = read_segments(&dir, WAL_MAGIC.len() as u64).unwrap();
-        assert_eq!(events.len(), 20);
-
-        // Compacting behind a fully-consumed cursor leaves the active
-        // segment; a single-file sink reports zero reclaimed.
-        assert!(sink.compact(end) >= 2);
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
-        assert_eq!(metrics.counter(WAL_APPEND_ERRORS_METRIC).get(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use intellitag_core::{IntelliTag, ModelSwap};
 use intellitag_obs::{Counter, MetricsRegistry, TRAINER_EVENTS_METRIC, TRAINER_INCREMENTS_METRIC};
 
 use crate::snapshot::{ModelSnapshot, SnapshotRegistry};
-use crate::wal::{click_sessions, decode_records, read_segments, WalEvent, WAL_MAGIC};
+use crate::wal::{click_sessions, decode_records, WalEvent, WAL_MAGIC};
 
 /// Knobs for the incremental training loop.
 #[derive(Debug, Clone, Copy)]
@@ -140,22 +140,14 @@ impl OnlineTrainer {
     /// `Ok(None)` means "nothing to do yet". A WAL that does not exist yet
     /// is not an error — serving may simply not have logged anything.
     pub fn poll(&mut self) -> io::Result<Option<ModelSnapshot>> {
-        if self.wal_path.is_dir() {
-            // A segmented WAL: the logical cursor spans segment files, but
-            // it is the same plain byte offset as the single-file case.
-            let (fresh, valid) = read_segments(&self.wal_path, self.cursor as u64)?;
-            self.pending.extend(fresh);
-            self.cursor = valid as usize;
-        } else {
-            match std::fs::read(&self.wal_path) {
-                Ok(bytes) => {
-                    let (fresh, valid) = decode_records(&bytes, self.cursor);
-                    self.pending.extend(fresh);
-                    self.cursor = valid;
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+        match std::fs::read(&self.wal_path) {
+            Ok(bytes) => {
+                let (fresh, valid) = decode_records(&bytes, self.cursor);
+                self.pending.extend(fresh);
+                self.cursor = valid;
             }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
         }
         if self.pending.len() < self.cfg.batch_events {
             return Ok(None);
@@ -401,45 +393,6 @@ mod tests {
             "restarted trainer's snapshot must be byte-identical to the uninterrupted run"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trainer_tails_segmented_wal_across_rotation_and_compaction() {
-        use crate::wal::SegmentedWal;
-
-        let (model, sessions) = base_model();
-        let metrics = MetricsRegistry::new();
-        let registry = Arc::new(SnapshotRegistry::new(8, &metrics));
-        let dir = std::env::temp_dir().join(format!("itag-trainer-seg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Tiny segments: a handful of click trails spans several files.
-        let (mut wal, _) = SegmentedWal::open(&dir, 48, 1, &metrics).unwrap();
-        let cfg = TrainerConfig { batch_events: 3, epochs: 1 };
-        let mut trainer =
-            OnlineTrainer::new(model, &dir, cfg, Arc::clone(&registry), None, &metrics);
-
-        for s in sessions.iter().take(3) {
-            wal.append(&WalEvent::TagClick { tenant: 0, clicks: s.clone() }).unwrap();
-        }
-        let snap = trainer.poll().unwrap().expect("first batch across segments");
-        assert_eq!(snap.events_consumed, 3);
-        assert_eq!(snap.wal_cursor, wal.logical_len(), "cursor is the logical offset");
-
-        // Compact behind the persisted cursor, then keep appending: the
-        // trainer's next poll resumes past the horizon without refolding.
-        wal.compact(snap.wal_cursor).unwrap();
-        for s in sessions.iter().skip(3).take(3) {
-            wal.append(&WalEvent::TagClick { tenant: 0, clicks: s.clone() }).unwrap();
-        }
-        let snap2 = trainer.poll().unwrap().expect("second batch after compaction");
-        assert_eq!(snap2.events_consumed, 6);
-        assert_eq!(snap2.version, 2);
-        assert_eq!(
-            metrics.counter(TRAINER_EVENTS_METRIC).get(),
-            6,
-            "compaction must not cause refolding or loss"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,21 +25,6 @@
 //! Appends are fsync-batched ([`WalWriter::open`]'s `sync_every`): the
 //! serving path pays one `write` per event and one `fsync` per batch —
 //! the classic group-commit trade of bounded loss window for throughput.
-//!
-//! ## Segmented logs
-//!
-//! A single-file WAL grows forever. [`SegmentedWal`] keeps the same record
-//! format but spreads the log over a directory of fixed-size segment
-//! files, each named by the 20-digit **logical** byte offset where it
-//! starts (`00000000000000000000.wal`, `00000000000000004096.wal`, …).
-//! The logical offset space is exactly the single-file offset space — the
-//! first segment's magic occupies logical `[0, 8)` and every later
-//! segment's magic is a file-local header outside it — so a trainer
-//! cursor is the same plain byte offset either way. The writer rolls to a
-//! new segment once the active file crosses `segment_bytes`, and
-//! [`SegmentedWal::compact`] deletes any sealed segment whose records all
-//! sit behind the latest snapshot's persisted cursor: the disk footprint
-//! tracks the unconsumed tail instead of the log's lifetime.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -48,8 +33,8 @@ use std::sync::Arc;
 
 use intellitag_gateway::codec::{read_varint, write_varint};
 use intellitag_obs::{
-    Counter, MetricsRegistry, WAL_APPENDS_METRIC, WAL_BYTES_METRIC, WAL_COMPACTED_SEGMENTS_METRIC,
-    WAL_FSYNCS_METRIC, WAL_ROTATIONS_METRIC, WAL_SEGMENTS_METRIC, WAL_TRUNCATED_BYTES_METRIC,
+    Counter, MetricsRegistry, WAL_APPENDS_METRIC, WAL_BYTES_METRIC, WAL_FSYNCS_METRIC,
+    WAL_TRUNCATED_BYTES_METRIC,
 };
 
 /// First 8 bytes of every WAL file.
@@ -379,263 +364,6 @@ impl Drop for WalWriter {
     }
 }
 
-/// The file a segment starting at logical offset `start` lives in.
-fn segment_path(dir: &Path, start: u64) -> PathBuf {
-    dir.join(format!("{start:020}.wal"))
-}
-
-/// Logical offset of file offset `file_off` inside the segment starting at
-/// `start`. Segment 0's magic is part of the logical space (offsets there
-/// equal file offsets); every later segment's magic is a file-local header
-/// the logical space skips.
-fn logical_at(start: u64, file_off: u64) -> u64 {
-    if start == 0 {
-        file_off
-    } else {
-        start + file_off - WAL_MAGIC.len() as u64
-    }
-}
-
-/// Inverse of [`logical_at`]: the file offset of logical offset `logical`
-/// inside the segment starting at `start`.
-fn file_at(start: u64, logical: u64) -> u64 {
-    if start == 0 {
-        logical
-    } else {
-        logical - start + WAL_MAGIC.len() as u64
-    }
-}
-
-/// The sorted logical start offsets of the segment files in `dir`. Only
-/// `NNNN….wal` names with the 20-digit zero-padded shape count; anything
-/// else in the directory is ignored.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut starts = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name.strip_suffix(".wal") else { continue };
-        if stem.len() == 20 && stem.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(start) = stem.parse::<u64>() {
-                starts.push(start);
-            }
-        }
-    }
-    starts.sort_unstable();
-    Ok(starts)
-}
-
-/// Tails a segmented WAL directory from logical `cursor`: decodes every
-/// record in `[cursor, end)` across however many segments that spans, and
-/// returns the events plus the advanced cursor. The scan stops — exactly
-/// like [`decode_records`] — at the first torn or corrupt record, and at
-/// any gap in the segment chain. A cursor pointing below the compaction
-/// horizon (its segments already deleted) resumes at the oldest surviving
-/// record; by the compaction contract those deleted records are already in
-/// the persisted model, so nothing is lost.
-pub fn read_segments(dir: &Path, cursor: u64) -> io::Result<(Vec<WalEvent>, u64)> {
-    let starts = match list_segments(dir) {
-        Ok(s) => s,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), cursor)),
-        Err(e) => return Err(e),
-    };
-    let mut events = Vec::new();
-    let Some(&first) = starts.first() else { return Ok((events, cursor)) };
-    let mut cur = cursor.max(logical_at(first, WAL_MAGIC.len() as u64));
-    for (i, &start) in starts.iter().enumerate() {
-        let path = segment_path(dir, start);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            // Compacted away between the listing and the read: the records
-            // it held are behind any live cursor by contract.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            break;
-        }
-        let end = logical_at(start, bytes.len() as u64);
-        if end <= cur {
-            continue; // wholly behind the cursor
-        }
-        if cur < logical_at(start, WAL_MAGIC.len() as u64) {
-            break; // gap in the chain below the cursor
-        }
-        let (fresh, valid) = decode_records(&bytes, file_at(start, cur) as usize);
-        events.extend(fresh);
-        cur = logical_at(start, valid as u64);
-        if valid < bytes.len() {
-            break; // torn or corrupt record: the scan cannot cross it
-        }
-        if starts.get(i + 1).is_some_and(|&next| next != cur) {
-            break; // the next segment does not start where this one ended
-        }
-    }
-    Ok((events, cur))
-}
-
-/// A size-bounded, compactable WAL: the single-file record format spread
-/// over a directory of segments (see the module docs). One writer per
-/// directory, same append/sync/group-commit semantics as [`WalWriter`].
-pub struct SegmentedWal {
-    dir: PathBuf,
-    segment_bytes: u64,
-    sync_every: usize,
-    registry: MetricsRegistry,
-    writer: WalWriter,
-    active_start: u64,
-    rotations: Arc<Counter>,
-    compacted: Arc<Counter>,
-}
-
-impl SegmentedWal {
-    /// Opens (creating if absent) the segmented WAL in `dir`, recovering
-    /// the longest valid prefix across segments: sealed segments must be
-    /// intact and flush against their successor; the first damaged or
-    /// discontiguous segment becomes the new active tail and every
-    /// later (orphaned) segment is deleted — the multi-file analogue of
-    /// truncating a torn tail. `segment_bytes` is the roll threshold: a
-    /// fresh segment starts once the active file reaches it.
-    pub fn open(
-        dir: &Path,
-        segment_bytes: u64,
-        sync_every: usize,
-        registry: &MetricsRegistry,
-    ) -> io::Result<(SegmentedWal, Recovered)> {
-        assert!(
-            segment_bytes > WAL_MAGIC.len() as u64,
-            "segment_bytes must exceed the magic header"
-        );
-        std::fs::create_dir_all(dir)?;
-        let starts = list_segments(dir)?;
-        let mut events = Vec::new();
-        let mut truncated = 0u64;
-        let mut active_start = 0;
-        for (i, &start) in starts.iter().enumerate() {
-            active_start = start;
-            let rec = recover(&segment_path(dir, start))?;
-            events.extend(rec.events);
-            truncated += rec.truncated;
-            // An all-invalid segment (bad magic) recovers as empty: its
-            // writer restarts at the segment's own logical start.
-            let end = if rec.valid_len == 0 {
-                logical_at(start, WAL_MAGIC.len() as u64)
-            } else {
-                logical_at(start, rec.valid_len)
-            };
-            let contiguous = starts.get(i + 1).is_none_or(|&next| next == end);
-            if rec.truncated > 0 || !contiguous {
-                // The valid prefix ends inside this segment: anything
-                // beyond it is unreachable. Drop the orphans.
-                for &orphan in &starts[i + 1..] {
-                    let path = segment_path(dir, orphan);
-                    let len = std::fs::metadata(&path)?.len();
-                    truncated += len;
-                    registry.counter(WAL_TRUNCATED_BYTES_METRIC).add(len);
-                    std::fs::remove_file(&path)?;
-                }
-                break;
-            }
-        }
-        // Reopening the tail segment re-runs its recovery (idempotent) and
-        // truncates the torn bytes counted above.
-        let (writer, _) = WalWriter::open(&segment_path(dir, active_start), sync_every, registry)?;
-        let wal = SegmentedWal {
-            dir: dir.to_path_buf(),
-            segment_bytes,
-            sync_every,
-            registry: registry.clone(),
-            writer,
-            active_start,
-            rotations: registry.counter(WAL_ROTATIONS_METRIC),
-            compacted: registry.counter(WAL_COMPACTED_SEGMENTS_METRIC),
-        };
-        wal.update_segments_gauge()?;
-        let valid_len = wal.logical_len();
-        Ok((wal, Recovered { events, valid_len, truncated }))
-    }
-
-    /// Appends one event, rolling to a fresh segment first when the active
-    /// file has reached the size threshold. Same fsync batching as
-    /// [`WalWriter::append`].
-    pub fn append(&mut self, event: &WalEvent) -> io::Result<()> {
-        if self.writer.len() >= self.segment_bytes && !self.writer.is_empty() {
-            self.roll()?;
-        }
-        self.writer.append(event)
-    }
-
-    /// Seals the active segment and opens the next one at the current
-    /// logical end.
-    fn roll(&mut self) -> io::Result<()> {
-        self.writer.sync()?;
-        let next = self.logical_len();
-        let (writer, _) =
-            WalWriter::open(&segment_path(&self.dir, next), self.sync_every, &self.registry)?;
-        self.writer = writer;
-        self.active_start = next;
-        self.rotations.inc();
-        self.update_segments_gauge()
-    }
-
-    /// Deletes every sealed segment whose records all sit at logical
-    /// offsets below `persisted_cursor` — the WAL cursor of the latest
-    /// *durable* model snapshot, so deleted records can never be needed
-    /// again (a restarted trainer resumes at or past that cursor). The
-    /// active segment is never deleted. Returns how many segments went.
-    pub fn compact(&mut self, persisted_cursor: u64) -> io::Result<usize> {
-        let mut removed = 0usize;
-        for start in list_segments(&self.dir)? {
-            if start == self.active_start {
-                continue;
-            }
-            let path = segment_path(&self.dir, start);
-            let len = std::fs::metadata(&path)?.len();
-            if logical_at(start, len) <= persisted_cursor {
-                std::fs::remove_file(&path)?;
-                removed += 1;
-            }
-        }
-        if removed > 0 {
-            self.compacted.add(removed as u64);
-            self.update_segments_gauge()?;
-        }
-        Ok(removed)
-    }
-
-    /// Forces any unsynced appends in the active segment to disk.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.writer.sync()
-    }
-
-    /// One past the last logical byte — where [`read_segments`] cursors
-    /// converge once they have consumed everything.
-    pub fn logical_len(&self) -> u64 {
-        logical_at(self.active_start, self.writer.len())
-    }
-
-    /// Logical start offset of the segment currently appended to.
-    pub fn active_segment_start(&self) -> u64 {
-        self.active_start
-    }
-
-    /// The log directory (the trainer tails the same directory).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Segment files currently on disk.
-    pub fn segment_count(&self) -> io::Result<usize> {
-        Ok(list_segments(&self.dir)?.len())
-    }
-
-    fn update_segments_gauge(&self) -> io::Result<()> {
-        let n = list_segments(&self.dir)?.len();
-        self.registry.gauge(WAL_SEGMENTS_METRIC).set(n as f64);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,166 +501,5 @@ mod tests {
         let evts = events();
         let sessions = click_sessions(&evts);
         assert_eq!(sessions, vec![vec![1, 2, 3], vec![], vec![128, 4096, 0]]);
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("itag-seg-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// A stream of distinguishable events, long enough to span segments.
-    fn stream(n: usize) -> Vec<WalEvent> {
-        (0..n).map(|i| WalEvent::TagClick { tenant: i, clicks: vec![i, i + 1] }).collect()
-    }
-
-    #[test]
-    fn segmented_wal_rolls_and_replays_across_segments() {
-        let dir = tmp_dir("roll");
-        let registry = MetricsRegistry::new();
-        let evts = stream(40);
-        let (mut wal, rec) = SegmentedWal::open(&dir, 64, 4, &registry).unwrap();
-        assert!(rec.events.is_empty());
-        assert_eq!(wal.logical_len(), WAL_MAGIC.len() as u64, "fresh log starts past the magic");
-        for e in &evts {
-            wal.append(e).unwrap();
-        }
-        wal.sync().unwrap();
-        assert!(wal.segment_count().unwrap() >= 3, "40 events at 64B/segment must roll");
-        assert_eq!(
-            registry.counter(WAL_ROTATIONS_METRIC).get() as usize + 1,
-            wal.segment_count().unwrap(),
-        );
-        assert_eq!(
-            registry.gauge(WAL_SEGMENTS_METRIC).get() as usize,
-            wal.segment_count().unwrap()
-        );
-
-        // A tail from the very start sees every event, across segments.
-        let (all, cursor) = read_segments(&dir, WAL_MAGIC.len() as u64).unwrap();
-        assert_eq!(all, evts);
-        assert_eq!(cursor, wal.logical_len());
-        // A cursor at a later segment boundary resumes exactly there,
-        // re-delivering nothing.
-        let starts = list_segments(&dir).unwrap();
-        let (tail, tail_cursor) = read_segments(&dir, starts[1]).unwrap();
-        assert_eq!(tail_cursor, cursor);
-        assert!(!tail.is_empty() && tail.len() < evts.len());
-        assert_eq!(tail[..], evts[evts.len() - tail.len()..]);
-
-        // Reopening recovers the full event sequence and the same cursor.
-        let len = wal.logical_len();
-        drop(wal);
-        let (wal2, rec2) = SegmentedWal::open(&dir, 64, 4, &registry).unwrap();
-        assert_eq!(rec2.events, evts);
-        assert_eq!(rec2.truncated, 0);
-        assert_eq!(wal2.logical_len(), len);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segmented_recovery_truncates_torn_active_tail_and_keeps_appending() {
-        let dir = tmp_dir("torn");
-        let registry = MetricsRegistry::new();
-        let evts = stream(20);
-        let (mut wal, _) = SegmentedWal::open(&dir, 64, 1, &registry).unwrap();
-        for e in &evts {
-            wal.append(e).unwrap();
-        }
-        let len = wal.logical_len();
-        let active = wal.active_segment_start();
-        drop(wal);
-
-        // Crash mid-append: torn half-record at the active segment's tail.
-        let tail = dir.join(format!("{active:020}.wal"));
-        let mut bytes = std::fs::read(&tail).unwrap();
-        bytes.extend_from_slice(&[0x7F, 0x01, 0x02, 0x03, 0x04]);
-        std::fs::write(&tail, &bytes).unwrap();
-
-        let (mut wal2, rec) = SegmentedWal::open(&dir, 64, 1, &registry).unwrap();
-        assert_eq!(rec.events, evts, "every intact record survives");
-        assert_eq!(rec.truncated, 5);
-        assert_eq!(wal2.logical_len(), len, "torn tail truncated before appending");
-        wal2.append(&evts[0]).unwrap();
-        wal2.sync().unwrap();
-        let (all, _) = read_segments(&dir, WAL_MAGIC.len() as u64).unwrap();
-        assert_eq!(all.len(), evts.len() + 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn damaged_sealed_segment_orphans_everything_after_it() {
-        let dir = tmp_dir("orphan");
-        let registry = MetricsRegistry::new();
-        let evts = stream(40);
-        let (mut wal, _) = SegmentedWal::open(&dir, 64, 1, &registry).unwrap();
-        for e in &evts {
-            wal.append(e).unwrap();
-        }
-        let segments = wal.segment_count().unwrap();
-        assert!(segments >= 3);
-        drop(wal);
-
-        // Chop the tail off the SECOND segment: the valid prefix now ends
-        // inside it, and later segments are unreachable.
-        let starts = list_segments(&dir).unwrap();
-        let victim = dir.join(format!("{:020}.wal", starts[1]));
-        let bytes = std::fs::read(&victim).unwrap();
-        let (events_before, _) = read_segments(&dir, WAL_MAGIC.len() as u64).unwrap();
-        std::fs::write(&victim, &bytes[..bytes.len() - 2]).unwrap();
-
-        let (wal2, rec) = SegmentedWal::open(&dir, 64, 1, &registry).unwrap();
-        assert!(rec.events.len() < events_before.len(), "records behind the cut are gone");
-        assert!(!rec.events.is_empty(), "segment 0 and the victim's prefix survive");
-        assert_eq!(rec.events, events_before[..rec.events.len()], "recovery is a prefix");
-        assert!(rec.truncated > 0);
-        assert_eq!(
-            wal2.active_segment_start(),
-            starts[1],
-            "the damaged segment becomes the active tail"
-        );
-        assert_eq!(wal2.segment_count().unwrap(), 2, "orphaned segments deleted");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_deletes_only_wholly_consumed_segments() {
-        let dir = tmp_dir("compact");
-        let registry = MetricsRegistry::new();
-        let evts = stream(40);
-        let (mut wal, _) = SegmentedWal::open(&dir, 64, 1, &registry).unwrap();
-        for e in &evts {
-            wal.append(e).unwrap();
-        }
-        let starts = list_segments(&dir).unwrap();
-        assert!(starts.len() >= 4, "need several sealed segments: got {starts:?}");
-
-        // A cursor at segment 1's start (segment boundaries are record
-        // boundaries) reclaims only segment 0: segment 1 still holds
-        // records at or past the cursor.
-        assert_eq!(wal.compact(starts[1]).unwrap(), 1);
-        assert_eq!(registry.counter(WAL_COMPACTED_SEGMENTS_METRIC).get(), 1);
-        // The surviving tail still replays, starting from the horizon.
-        let (tail, cursor) = read_segments(&dir, starts[1]).unwrap();
-        assert_eq!(cursor, wal.logical_len());
-        assert_eq!(tail[..], evts[evts.len() - tail.len()..]);
-
-        // A cursor at the very end reclaims every sealed segment but
-        // never the active one, even when fully consumed.
-        let end = wal.logical_len();
-        let before = wal.segment_count().unwrap();
-        assert_eq!(wal.compact(end).unwrap(), before - 1);
-        assert_eq!(wal.segment_count().unwrap(), 1);
-        assert_eq!(list_segments(&dir).unwrap(), vec![wal.active_segment_start()]);
-        // Appends continue seamlessly after compaction.
-        wal.append(&evts[0]).unwrap();
-        wal.sync().unwrap();
-        let (after, _) = read_segments(&dir, end).unwrap();
-        assert_eq!(after, vec![evts[0].clone()]);
-
-        // A stale cursor below the horizon resumes at the oldest survivor.
-        let (resumed, _) = read_segments(&dir, WAL_MAGIC.len() as u64).unwrap();
-        assert!(!resumed.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

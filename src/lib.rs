@@ -85,9 +85,9 @@ pub mod prelude {
         evaluate_extractor, Extractor, MinerConfig, MiningTask, RuleFilter, TagMiner,
     };
     pub use intellitag_obs::{
-        format_trace_id, parse_prometheus, parse_trace_id, render_json_lines, render_prometheus,
-        tenant_tier, FinishedTrace, Histogram, HistogramSnapshot, MetricsRegistry, SloReport,
-        SpanTimer, TraceCollector, TraceConfig, TraceHandle, TraceIdGen,
+        format_trace_id, parse_prometheus, parse_trace_id, render_prometheus, tenant_tier,
+        FinishedTrace, Histogram, HistogramSnapshot, MetricsRegistry, SloReport, SpanTimer,
+        TraceCollector, TraceConfig, TraceHandle, TraceIdGen,
     };
     pub use intellitag_online::{
         click_sessions, recover, ModelSnapshot, OnlineTrainer, SnapshotRegistry, TrainerConfig,

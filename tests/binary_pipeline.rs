@@ -9,7 +9,8 @@
 //! uphold:
 //!
 //! * **conservation** — answered + shed == sent, client-side counts and
-//!   the gateway's `gateway.requests{route=..,status=..}` counters agree;
+//!   the gateway's `gateway.requests{route=..,status=..}` counters agree,
+//!   and an HTTP scrape on the same port parses mid-load;
 //! * **correlation** — every reply maps back (by the echoed correlation
 //!   id) to exactly the request that caused it, verified against
 //!   precomputed direct answers;
@@ -157,9 +158,9 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(
         "127.0.0.1:0",
-        // One worker per client: a binary connection holds its worker for
-        // the connection's lifetime.
-        GatewayConfig { workers: 8, ..Default::default() },
+        // One worker per client (a binary connection holds its worker for
+        // the connection's lifetime), plus one for the HTTP scraper.
+        GatewayConfig { workers: 9, ..Default::default() },
         &registry,
         move |_worker| Arc::clone(&share),
     )
@@ -191,7 +192,28 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
         mismatches: Vec<String>,
     }
 
-    let outcomes: Vec<ClientOutcome> = thread::scope(|scope| {
+    let (outcomes, scrape_sheds) = thread::scope(|scope| {
+        // An HTTP scrape on the same port while the frames are in flight:
+        // the sniffer serves both protocols side by side. Accept-level
+        // sheds of the scrape are counted, not load.
+        let scraper = scope.spawn(|| {
+            let mut http = GatewayClient::new(addr).with_timeout(Duration::from_secs(30));
+            let mut sheds = 0u64;
+            loop {
+                match http.scrape_metrics() {
+                    Ok(text) => {
+                        let samples = parse_prometheus(&text).expect("mid-run scrape parses");
+                        assert!(!samples.is_empty());
+                        return sheds;
+                    }
+                    Err(intellitag::gateway::ClientError::Shed) if sheds < 20 => {
+                        sheds += 1;
+                        thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(e) => panic!("mid-run scrape failed: {e}"),
+                }
+            }
+        });
         let handles: Vec<_> = plans
             .iter()
             .map(|plan| {
@@ -262,7 +284,9 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        let outcomes: Vec<ClientOutcome> =
+            handles.into_iter().map(|h| h.join().expect("client thread")).collect();
+        (outcomes, scraper.join().expect("scraper thread"))
     });
 
     let sent: u64 = outcomes.iter().map(|o| o.sent).sum();
@@ -288,6 +312,9 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
     let shed_srv = count("recommend_bin", "503") + count("click_bin", "503");
     assert_eq!(served_srv, answered, "gateway 200 counters must match client-observed answers");
     assert_eq!(shed_srv, shed, "gateway 503 counters must match client-observed sheds");
+    // Queue sheds ride error frames, not the accept path: the only
+    // accept-level sheds possible here are the scraper's.
+    assert_eq!(registry.counter("gateway.shed").get(), scrape_sheds);
 
     handle.shutdown();
 }
