@@ -8,8 +8,10 @@ use intellitag_tensor::{Matrix, Param, ParamSet, Tape, Tensor};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
+use crate::plan::GraphPlan;
+
 /// Negative slope used by the paper's LeakyReLU on attention scores.
-const LEAKY_SLOPE: f32 = 0.2;
+pub(crate) const LEAKY_SLOPE: f32 = 0.2;
 
 /// The shared graph layers: one set of parameters reused for every tag
 /// (paper §IV-D: "the trainable parameters in the inner graph-based layer
@@ -26,8 +28,10 @@ pub struct GraphLayers {
     v_p: Param,
     /// Final linear fusion (Eq. 7): `Md -> d`.
     out: Linear,
-    /// Precomputed capped neighbor lists: `[tag][metapath]`.
+    /// Precomputed capped neighbor lists: `[tag][metapath]`, each the tag
+    /// itself plus at most `neighbor_cap` others.
     neighbors: Vec<[Vec<usize>; 4]>,
+    neighbor_cap: usize,
     dim: usize,
     heads: usize,
     use_neighbor_attention: bool,
@@ -106,6 +110,7 @@ impl GraphLayers {
             v_p,
             out,
             neighbors,
+            neighbor_cap,
             dim,
             heads,
             use_neighbor_attention,
@@ -191,12 +196,35 @@ impl GraphLayers {
     }
 
     /// Precomputes `z_t` for every tag in inference mode — exactly what the
-    /// deployed system uploads to the online model servers (§V-B).
+    /// deployed system uploads to the online model servers (§V-B). Runs on
+    /// the tape-free [`GraphPlan`], whose table is bit-identical to
+    /// [`GraphLayers::embed_tag`]'s on a fresh tape.
     pub fn precompute_all(&self) -> Matrix {
-        let tape = Tape::new();
+        let plan = self.plan();
+        self.features.param().with_value(|x| plan.embed_all(x, &self.neighbors))
+    }
+
+    /// The current parameters, packed for one refresh.
+    pub(crate) fn plan(&self) -> GraphPlan {
+        GraphPlan::build(
+            self.dim,
+            self.heads,
+            self.use_neighbor_attention.then_some(&self.w_n[..]),
+            self.use_metapath_attention.then_some((&self.w_p, &self.b_p, &self.v_p)),
+            &self.out,
+            self.neighbor_cap + 1,
+        )
+    }
+
+    /// The tape refresh the plan replaced, kept as its test oracle: each tag
+    /// on a tape of its own, or (`shared`) every tag on one tape.
+    #[cfg(test)]
+    fn precompute_on_tapes(&self, shared: bool) -> Matrix {
+        let shared_tape = Tape::new();
         let mut out = Matrix::zeros(self.num_tags(), self.dim);
         for t in 0..self.num_tags() {
-            let z = self.embed_tag(&tape, t).value();
+            let own = if shared { None } else { Some(Tape::new()) };
+            let z = self.embed_tag(own.as_ref().unwrap_or(&shared_tape), t).value();
             out.row_slice_mut(t).copy_from_slice(z.row_slice(0));
         }
         out
@@ -262,6 +290,8 @@ impl GraphLayers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TagRecConfig;
+    use intellitag_datagen::{World, WorldConfig};
     use intellitag_graph::HetGraphBuilder;
 
     fn small_graph() -> HetGraph {
@@ -302,6 +332,71 @@ mod tests {
                 assert!((a - b).abs() < 1e-6);
             }
         }
+    }
+
+    /// Panics at the first element whose bits differ, naming its tag.
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        let first =
+            got.data().iter().zip(want.data()).position(|(a, b)| a.to_bits() != b.to_bits());
+        if let Some(i) = first {
+            let (t, c) = (i / want.cols(), i % want.cols());
+            panic!("{what}: z[{t}][{c}] is {} against {}", got.data()[i], want.data()[i]);
+        }
+    }
+
+    /// Layers over a generated world at the default architecture. `seed`
+    /// draws the features, the weights, the neighbour samples and non-zero
+    /// biases, so every term of Eq. 4-7 is live.
+    fn world_layers(world: WorldConfig, seed: u64, use_na: bool, use_ma: bool) -> GraphLayers {
+        let cfg = TagRecConfig::default();
+        let graph = World::generate(world).build_graph();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut params = ParamSet::new(1e-3);
+        let feats = Matrix::uniform(graph.num_tags(), cfg.dim, 0.5, &mut rng);
+        let gl = GraphLayers::new(
+            &graph,
+            feats,
+            cfg.heads,
+            cfg.neighbor_cap,
+            use_na,
+            use_ma,
+            &mut params,
+            &mut rng,
+        );
+        for bias in [&gl.b_p, gl.out.b.as_ref().expect("fusion bias")] {
+            let (rows, cols) = bias.shape();
+            bias.set_value(Matrix::uniform(rows, cols, 0.2, &mut rng));
+        }
+        gl
+    }
+
+    #[test]
+    fn plan_refresh_is_bitwise_the_tape_refresh() {
+        let ablations = [("default", true, true), ("w/o na", false, true), ("w/o ma", true, false)];
+        for seed in [11u64, 12, 13] {
+            for (name, use_na, use_ma) in ablations {
+                let gl = world_layers(WorldConfig::tiny(seed), seed, use_na, use_ma);
+                let tape_per_tag = gl.precompute_on_tapes(false);
+                let what = format!("{name}, seed {seed}");
+                let shared = gl.precompute_on_tapes(true);
+                assert_same_bits(&shared, &tape_per_tag, &format!("{what}: shared tape"));
+                assert_same_bits(&gl.precompute_all(), &tape_per_tag, &format!("{what}: plan"));
+                // Block edges fall on every tag, mid-table and not at all.
+                let plan = gl.plan();
+                for block in [1, 5, gl.num_tags() + 1] {
+                    let z = gl
+                        .features
+                        .param()
+                        .with_value(|x| plan.embed_blocks(x, &gl.neighbors, block));
+                    assert_same_bits(&z, &tape_per_tag, &format!("{what}: blocks of {block}"));
+                }
+            }
+        }
+        // More tags than one block of the plan holds.
+        let gl = world_layers(WorldConfig::small(14), 14, true, true);
+        assert!(gl.num_tags() > 64, "{} tags", gl.num_tags());
+        assert_same_bits(&gl.precompute_all(), &gl.precompute_on_tapes(false), "small world");
     }
 
     #[test]

@@ -120,10 +120,22 @@ impl IntelliTag {
     /// embeddings and the packed sequence weights. Every path that changes
     /// parameters and then serves (`train`, `train_increment`, `load`) ends
     /// here, so the two can never describe different model versions.
-    fn freeze_for_serving(&mut self, z_table: Matrix) {
-        self.z_table = z_table;
+    /// `z_table` is `None` where the graph layers cannot have moved since
+    /// the installed table was computed: the table stays, the plan is
+    /// rebuilt.
+    fn freeze_for_serving(&mut self, z_table: Option<Matrix>) {
+        if let Some(z_table) = z_table {
+            self.z_table = z_table;
+        }
         self.plan =
             ServingPlan::build(&self.cfg, &self.pos, &self.mask_emb, &self.encoder, &self.out);
+    }
+
+    /// A fresh z-table when sequence training also moved the graph layers
+    /// (end-to-end); `None` for the step-by-step variant, whose table was
+    /// computed from the same graph parameters before sequence training.
+    fn refreshed_z_table(&self) -> Option<Matrix> {
+        self.cfg.end_to_end.then(|| self.graph_layers.precompute_all())
     }
 
     /// Trains the model.
@@ -179,7 +191,8 @@ impl IntelliTag {
         }
 
         // Final offline inference pass: freeze tag embeddings for serving.
-        model.freeze_for_serving(model.graph_layers.precompute_all());
+        let z_table = model.refreshed_z_table();
+        model.freeze_for_serving(z_table);
         model
     }
 
@@ -230,9 +243,10 @@ impl IntelliTag {
         self.train_sequence(sessions, &mut params, self.cfg.end_to_end, false, &mut rng, metrics);
         self.cfg.train = saved;
         // Re-freeze tag embeddings for serving, exactly like the tail of
-        // offline training (a no-op for the step-by-step variant, where the
+        // offline training (the step-by-step variant keeps its table: its
         // graph layers did not move).
-        self.freeze_for_serving(self.graph_layers.precompute_all());
+        let z_table = self.refreshed_z_table();
+        self.freeze_for_serving(z_table);
     }
 
     /// Serializes the trained model's parameters and precomputed tag
@@ -268,7 +282,7 @@ impl IntelliTag {
                 "z table shape mismatch",
             ));
         }
-        model.freeze_for_serving(z_table);
+        model.freeze_for_serving(Some(z_table));
         Ok(model)
     }
 
@@ -832,6 +846,32 @@ mod tests {
             "plan is stale after load"
         );
         assert_eq!(bits(&loaded.score_all(&ctx)), bits(&after));
+    }
+
+    #[test]
+    fn step_by_step_increment_keeps_the_z_table_and_rebuilds_the_plan() {
+        // Step-by-step training moves only the sequence layers, so the
+        // increment keeps its table; the packed sequence weights must still
+        // follow the increment.
+        let (g, texts, sessions) = cyclic_world(6);
+        let mut cfg = quick_cfg().step_by_step();
+        cfg.train.epochs = 2;
+        let (day1, day2) = sessions.split_at(sessions.len() / 2);
+        let mut m = IntelliTag::train(&g, &texts, day1, cfg);
+        let z_before = m.z_table().clone();
+        assert_eq!(
+            bits(z_before.data()),
+            bits(m.graph_layers.precompute_all().data()),
+            "the kept table is what the graph layers produce"
+        );
+        let ctx = [0usize, 1, 2];
+        let before = m.score_all(&ctx);
+
+        m.train_increment(day2, 2, 1, &MetricsRegistry::new());
+        assert_eq!(bits(m.z_table().data()), bits(z_before.data()), "the z-table moved");
+        let after = m.score_all(&ctx);
+        assert_ne!(bits(&after), bits(&before), "the increment moved nothing");
+        assert_eq!(bits(&after), bits(&tape_score_all(&m, &ctx)), "plan is stale after increment");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The tape-free serving forward of the sequential layers (Eq. 8-11).
+//! The tape-free forwards: the serving forward of the sequential layers
+//! (Eq. 8-11) and the z-table refresh of the graph layers (Eq. 4-7).
 //!
 //! [`ServingPlan`] is to the sequence parameters what the z-table is to the
 //! graph layers: everything that depends on the model version and not on the
@@ -8,20 +9,25 @@
 //! then gathers, a handful of `gemm_packed` calls and per-sequence attention
 //! over buffers that live in a grow-only thread-local arena.
 //!
-//! The forward runs on the calling thread only — shards are serving's
-//! parallel axis — and reproduces the autograd forward in eval mode bit for
-//! bit (DESIGN.md §11 "Serving forward" gives the argument; the parity
-//! property in `model.rs` is the judge).
+//! [`GraphPlan`] builds the z-table itself: the graph parameters packed
+//! once per refresh, tags embedded a fixed-size block at a time, so the
+//! refresh's working set does not grow with the tag count.
+//!
+//! Both run on the calling thread only — shards are serving's parallel
+//! axis — and reproduce the autograd forward in eval mode bit for bit
+//! (DESIGN.md §11 "Serving forward" and "Graph refresh" give the argument;
+//! the parity properties in `model.rs` and `graph_layers.rs` are the judge).
 
 use std::cell::RefCell;
 
 use intellitag_nn::{Linear, PositionEmbedding, TransformerEncoder, LAYER_NORM_EPS};
 use intellitag_tensor::{
-    gelu_in_place, gemm_packed, gemm_serial, row_mean_inv_std, softmax_in_place, Matrix, PackedB,
-    Param, Variant,
+    gelu_in_place, gemm_packed, gemm_serial, leaky_relu, row_mean_inv_std, sigmoid,
+    softmax_in_place, Matrix, PackedB, Param, Variant,
 };
 
 use crate::config::TagRecConfig;
+use crate::graph_layers::LEAKY_SLOPE;
 
 /// `y = x·W + b` with `W` packed once; several layers that read the same
 /// input can share one panel set (their columns side by side).
@@ -31,6 +37,12 @@ struct PackedLinear {
 }
 
 impl PackedLinear {
+    /// One weight and its bias, as separate parameters.
+    fn new(w: &Param, b: &Param) -> Self {
+        let w = w.value();
+        PackedLinear { w: PackedB::pack(w.rows(), w.cols(), w.data()), b: b.value().into_vec() }
+    }
+
     fn pack(layers: &[&Linear]) -> Self {
         let fused = match layers {
             [one] => one.w.value(),
@@ -42,8 +54,7 @@ impl PackedLinear {
         let b = layers
             .iter()
             .flat_map(|l| {
-                let bias =
-                    l.b.as_ref().expect("the sequence model builds every linear with a bias");
+                let bias = l.b.as_ref().expect("the model builds every linear with a bias");
                 bias.value().into_vec()
             })
             .collect();
@@ -291,5 +302,240 @@ impl ServingPlan {
         gelu_in_place(ff);
         layer.ff2.apply(rows, ff, proj);
         add_and_norm(x, proj, d, &layer.norms[1]);
+    }
+}
+
+/// Tags one block of the graph refresh embeds together. Every buffer is
+/// sized for one block, so the refresh's working set is the same at any tag
+/// count; only the `tags x dim` table it returns grows.
+const GRAPH_BLOCK: usize = 32;
+
+/// The graph layers' parameters as the z-table refresh reads them, packed
+/// once per refresh.
+pub(crate) struct GraphPlan {
+    dim: usize,
+    heads: usize,
+    /// Per metapath, the `2·dim x heads` neighbour-attention weights with
+    /// head `h`'s `W_n` in column `h`. Empty w/o na.
+    w_n: Vec<PackedB>,
+    /// `h·W_p + b_p` and `v_p` (Eq. 6). `None` w/o ma.
+    metapath: Option<(PackedLinear, PackedB)>,
+    /// The `heads·dim -> dim` fusion (Eq. 7).
+    out: PackedLinear,
+    /// Longest neighbour list a tag can have on one metapath.
+    max_neighbors: usize,
+}
+
+/// One block's buffers. Allocated per refresh at their largest size, so a
+/// refresh's peak does not depend on which tags share a block.
+struct GraphScratch {
+    /// One row `[x_t | x_n]` per neighbour `n` of every tag in the block.
+    pairs: Vec<f32>,
+    /// `pairs · W_n`: one attention logit per neighbour and head.
+    scores: Vec<f32>,
+    /// One tag's attention weights, `heads x neighbours`.
+    alpha: Vec<f32>,
+    /// The metapath aggregates `h_ρ`, row `4·i + ρ` for the block's tag `i`.
+    h: Vec<f32>,
+    /// `tanh(h·W_p + b_p)`, row for row.
+    proj: Vec<f32>,
+    /// The four metapath weights of every tag.
+    beta: Vec<f32>,
+    /// The weighted sum of each tag's four aggregates.
+    fused: Vec<f32>,
+}
+
+impl GraphPlan {
+    /// `w_n` is `None` w/o na and `metapath` (`W_p`, `b_p`, `v_p`) is
+    /// `None` w/o ma.
+    pub(crate) fn build(
+        dim: usize,
+        heads: usize,
+        w_n: Option<&[Vec<Param>]>,
+        metapath: Option<(&Param, &Param, &Param)>,
+        out: &Linear,
+        max_neighbors: usize,
+    ) -> Self {
+        let w_n = w_n
+            .into_iter()
+            .flatten()
+            .map(|per_head| {
+                let cols: Vec<Matrix> = per_head.iter().map(Param::value).collect();
+                let w = Matrix::concat_cols(&cols.iter().collect::<Vec<_>>());
+                PackedB::pack(w.rows(), w.cols(), w.data())
+            })
+            .collect();
+        let metapath = metapath.map(|(w_p, b_p, v_p)| {
+            let v_p = v_p.value();
+            (PackedLinear::new(w_p, b_p), PackedB::pack(v_p.rows(), v_p.cols(), v_p.data()))
+        });
+        GraphPlan { dim, heads, w_n, metapath, out: PackedLinear::pack(&[out]), max_neighbors }
+    }
+
+    /// The z-table: row `t` is `z_t` for the features `x` (one row per tag)
+    /// and `neighbors[t]`, the tag's neighbour list per metapath.
+    pub(crate) fn embed_all(&self, x: &Matrix, neighbors: &[[Vec<usize>; 4]]) -> Matrix {
+        self.embed_blocks(x, neighbors, GRAPH_BLOCK)
+    }
+
+    /// [`GraphPlan::embed_all`] over blocks of `block` tags; tests vary it.
+    pub(crate) fn embed_blocks(
+        &self,
+        x: &Matrix,
+        neighbors: &[[Vec<usize>; 4]],
+        block: usize,
+    ) -> Matrix {
+        let (d, md) = (self.dim, self.heads * self.dim);
+        let rows = block * self.max_neighbors;
+        let na = !self.w_n.is_empty();
+        let mut s = GraphScratch {
+            pairs: vec![0.0; if na { rows * 2 * d } else { 0 }],
+            scores: vec![0.0; if na { rows * self.heads } else { 0 }],
+            alpha: vec![0.0; if na { self.heads * self.max_neighbors } else { 0 }],
+            h: vec![0.0; block * 4 * md],
+            proj: vec![0.0; if self.metapath.is_some() { block * 4 * md } else { 0 }],
+            beta: vec![0.0; block * 4],
+            fused: vec![0.0; block * md],
+        };
+        let mut z = Matrix::zeros(neighbors.len(), d);
+        for first in (0..neighbors.len()).step_by(block) {
+            let tags = first..(first + block).min(neighbors.len());
+            let n = tags.len();
+            for mp in 0..4 {
+                if na {
+                    self.attend(x, neighbors, tags.clone(), mp, &mut s);
+                } else {
+                    self.average(x, neighbors, tags.clone(), mp, &mut s);
+                }
+            }
+
+            // Eq. 6: β_ρ = softmax_ρ(v_p·tanh(W_p·h_ρ + b_p)), or uniform.
+            let beta = &mut s.beta[..n * 4];
+            match &self.metapath {
+                Some((w_p, v_p)) => {
+                    let proj = &mut s.proj[..n * 4 * md];
+                    w_p.apply(n * 4, &s.h[..n * 4 * md], proj);
+                    for v in proj.iter_mut() {
+                        *v = v.tanh();
+                    }
+                    gemm_packed(n * 4, proj, md, v_p, beta, 1);
+                    for row in beta.chunks_exact_mut(4) {
+                        softmax_in_place(row);
+                    }
+                }
+                None => beta.fill(0.25),
+            }
+            // Eq. 7: each tag's weights times its own four aggregates.
+            for i in 0..n {
+                let (w, h) = (&beta[i * 4..][..4], &s.h[i * 4 * md..][..4 * md]);
+                gemm_serial(Variant::NN, 1, 4, md, w, 4, h, md, &mut s.fused[i * md..][..md], md);
+            }
+            // The fusion, then the residual from the tag's own features.
+            let out = &mut z.data_mut()[first * d..(first + n) * d];
+            self.out.apply(n, &s.fused[..n * md], out);
+            for (row, t) in out.chunks_exact_mut(d).zip(tags) {
+                for (o, &xv) in row.iter_mut().zip(x.row_slice(t)) {
+                    *o += xv;
+                }
+            }
+        }
+        z
+    }
+
+    /// Eq. 4-5 for metapath `mp` of every tag in the block: per head,
+    /// softmax-weighted neighbour features through a sigmoid, the heads
+    /// side by side in `h`.
+    fn attend(
+        &self,
+        x: &Matrix,
+        neighbors: &[[Vec<usize>; 4]],
+        tags: std::ops::Range<usize>,
+        mp: usize,
+        s: &mut GraphScratch,
+    ) {
+        let (d, heads, md) = (self.dim, self.heads, self.heads * self.dim);
+        let mut rows = 0;
+        for t in tags.clone() {
+            for &nb in neighbor_ids(neighbors, &t, mp, self.max_neighbors) {
+                let pair = &mut s.pairs[rows * 2 * d..][..2 * d];
+                pair[..d].copy_from_slice(x.row_slice(t));
+                pair[d..].copy_from_slice(x.row_slice(nb));
+                rows += 1;
+            }
+        }
+        gemm_packed(rows, &s.pairs, 2 * d, &self.w_n[mp], &mut s.scores[..rows * heads], heads);
+
+        let mut first = 0;
+        for (i, t) in tags.enumerate() {
+            let k = neighbor_ids(neighbors, &t, mp, self.max_neighbors).len();
+            let alpha = &mut s.alpha[..heads * k];
+            for (h, weights) in alpha.chunks_exact_mut(k).enumerate() {
+                for (j, w) in weights.iter_mut().enumerate() {
+                    *w = leaky_relu(s.scores[(first + j) * heads + h], LEAKY_SLOPE);
+                }
+                softmax_in_place(weights);
+            }
+            // `heads x k` weights times the `k x d` neighbour half of the
+            // pairs: head `h`'s output lands in columns `h·d..(h+1)·d`.
+            let out = &mut s.h[(i * 4 + mp) * md..][..md];
+            let x_nb = &s.pairs[first * 2 * d + d..];
+            gemm_serial(Variant::NN, heads, k, d, alpha, k, x_nb, 2 * d, out, d);
+            for v in out.iter_mut() {
+                *v = sigmoid(*v);
+            }
+            first += k;
+        }
+    }
+
+    /// The w/o-na ablation: the sigmoid of the neighbours' mean feature
+    /// row, repeated once per head.
+    fn average(
+        &self,
+        x: &Matrix,
+        neighbors: &[[Vec<usize>; 4]],
+        tags: std::ops::Range<usize>,
+        mp: usize,
+        s: &mut GraphScratch,
+    ) {
+        let (d, md) = (self.dim, self.heads * self.dim);
+        for (i, t) in tags.enumerate() {
+            let ids = neighbor_ids(neighbors, &t, mp, self.max_neighbors);
+            let (mean, copies) = s.h[(i * 4 + mp) * md..][..md].split_at_mut(d);
+            mean.fill(0.0);
+            for &nb in ids {
+                for (o, &v) in mean.iter_mut().zip(x.row_slice(nb)) {
+                    *o += v;
+                }
+            }
+            // `mean_rows` is `sum_rows` then `scale(1/k)`.
+            let scale = 1.0 / ids.len() as f32;
+            for v in mean.iter_mut() {
+                *v = sigmoid(*v * scale);
+            }
+            for copy in copies.chunks_exact_mut(d) {
+                copy.copy_from_slice(mean);
+            }
+        }
+    }
+}
+
+/// The tags `t` aggregates along metapath `mp`: its neighbour list, or `t`
+/// alone when the list is empty (the tape's self-loop fallback).
+fn neighbor_ids<'a>(
+    neighbors: &'a [[Vec<usize>; 4]],
+    t: &'a usize,
+    mp: usize,
+    max: usize,
+) -> &'a [usize] {
+    let list = &neighbors[*t][mp];
+    assert!(
+        list.len() <= max,
+        "tag {t} has {} neighbours on metapath {mp}, over {max}",
+        list.len()
+    );
+    if list.is_empty() {
+        std::slice::from_ref(t)
+    } else {
+        list
     }
 }

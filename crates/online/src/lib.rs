@@ -36,11 +36,13 @@
 
 pub mod sink;
 pub mod snapshot;
+pub mod temp_dir;
 pub mod trainer;
 pub mod wal;
 
 pub use sink::WalSink;
 pub use snapshot::{ModelSnapshot, SnapshotRegistry, SNAPSHOT_MAGIC};
+pub use temp_dir::TempDir;
 pub use trainer::{OnlineTrainer, TrainerConfig};
 pub use wal::{
     click_sessions, crc32, decode_all, decode_records, recover, Recovered, WalEvent, WalWriter,

@@ -64,20 +64,20 @@ impl EventSink for WalSink {
 mod tests {
     use super::*;
     use crate::wal::decode_all;
+    use crate::TempDir;
     use std::path::PathBuf;
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("itag-sink-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.wal"));
-        let _ = std::fs::remove_file(&path);
-        path
+    /// A log path in a directory removed when the guard drops.
+    fn tmp(tag: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("sink").unwrap();
+        let path = dir.path().join(format!("{tag}.wal"));
+        (dir, path)
     }
 
     #[test]
     fn sink_appends_served_requests_in_order() {
         let metrics = MetricsRegistry::new();
-        let path = tmp("order");
+        let (_dir, path) = tmp("order");
         let (writer, _) = WalWriter::open(&path, 4, &metrics).unwrap();
         let sink = WalSink::new(writer, &metrics);
         sink.tag_click(3, &[1, 2]);
@@ -94,13 +94,12 @@ mod tests {
             ]
         );
         assert_eq!(metrics.counter(WAL_APPEND_ERRORS_METRIC).get(), 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn sink_is_shareable_across_threads() {
         let metrics = MetricsRegistry::new();
-        let path = tmp("threads");
+        let (_dir, path) = tmp("threads");
         let (writer, _) = WalWriter::open(&path, 8, &metrics).unwrap();
         let sink = Arc::new(WalSink::new(writer, &metrics));
         std::thread::scope(|scope| {
@@ -116,6 +115,5 @@ mod tests {
         sink.sync();
         let (events, _) = decode_all(&std::fs::read(&path).unwrap());
         assert_eq!(events.len(), 100, "concurrent appends never tear records");
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -198,6 +198,7 @@ impl OnlineTrainer {
 mod tests {
     use super::*;
     use crate::wal::WalWriter;
+    use crate::TempDir;
     use intellitag_core::TagRecConfig;
     use intellitag_datagen::{World, WorldConfig};
     use intellitag_obs::SNAPSHOT_VERSION_METRIC;
@@ -228,12 +229,11 @@ mod tests {
         (model, sessions)
     }
 
-    fn tmp_wal(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("itag-trainer-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.wal"));
-        let _ = std::fs::remove_file(&path);
-        path
+    /// A log path in a directory removed when the guard drops.
+    fn tmp_wal(tag: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("trainer").unwrap();
+        let path = dir.path().join(format!("{tag}.wal"));
+        (dir, path)
     }
 
     #[test]
@@ -242,7 +242,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let registry = Arc::new(SnapshotRegistry::new(4, &metrics));
         let swap = ModelSwap::new();
-        let path = tmp_wal("loop");
+        let (_dir, path) = tmp_wal("loop");
         let cfg = TrainerConfig { batch_events: 3, epochs: 1 };
         let mut trainer = OnlineTrainer::new(
             model,
@@ -282,13 +282,12 @@ mod tests {
         assert_eq!(snap2.version, 2);
         assert_eq!(snap2.events_consumed, 6);
         assert_ne!(*snap2.bytes, *snap.bytes, "an increment moves the parameters");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn identical_wal_prefixes_produce_identical_snapshots() {
         let metrics = MetricsRegistry::new();
-        let path = tmp_wal("determinism");
+        let (_dir, path) = tmp_wal("determinism");
         let (mut w, _) = WalWriter::open(&path, 1, &metrics).unwrap();
         let (model_a, sessions) = base_model();
         for s in sessions.iter().take(4) {
@@ -313,7 +312,6 @@ mod tests {
         let snap_a = run(model_a);
         let snap_b = run(model_b);
         assert_eq!(*snap_a.bytes, *snap_b.bytes, "same base + same WAL = same snapshot");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -334,7 +332,7 @@ mod tests {
         let load =
             |bytes: &[u8]| IntelliTag::load(&graph, &texts, quick_cfg(), &mut &bytes[..]).unwrap();
         let cfg = TrainerConfig { batch_events: 3, epochs: 1 };
-        let path = tmp_wal("restart");
+        let (_dir, path) = tmp_wal("restart");
         let metrics = MetricsRegistry::new();
         let (mut w, _) = WalWriter::open(&path, 1, &metrics).unwrap();
         for s in sessions.iter().take(3) {
@@ -392,14 +390,13 @@ mod tests {
             *snap_b2.bytes, *snap_a2.bytes,
             "restarted trainer's snapshot must be byte-identical to the uninterrupted run"
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn spawned_trainer_drains_on_stop() {
         let metrics = MetricsRegistry::new();
         let registry = Arc::new(SnapshotRegistry::new(2, &metrics));
-        let path = tmp_wal("spawned");
+        let (_dir, path) = tmp_wal("spawned");
         let (mut w, _) = WalWriter::open(&path, 1, &metrics).unwrap();
         let (model, sessions) = base_model();
         for s in sessions.iter().take(2) {
@@ -432,6 +429,5 @@ mod tests {
         stop.store(true, Ordering::Release);
         handle.join().unwrap().unwrap();
         assert_eq!(registry.latest().expect("drained batch published").version, 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -454,10 +454,8 @@ mod tests {
 
     #[test]
     fn writer_appends_recovers_and_truncates_torn_tails() {
-        let dir = std::env::temp_dir().join(format!("itag-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = crate::TempDir::new("wal").unwrap();
+        let path = dir.path().join("events.wal");
         let registry = MetricsRegistry::new();
         let evts = events();
 
@@ -493,7 +491,6 @@ mod tests {
         drop(w3);
         let (all, _) = decode_all(&std::fs::read(&path).unwrap());
         assert_eq!(all.len(), evts.len() + 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use kernel::{
     fma_enabled, gemm, gemm_packed, gemm_serial, naive_gemm, set_gemm_axis, PackedB, ParAxis,
     Variant,
 };
-pub use matrix::{dot, row_mean_inv_std, softmax_in_place, Matrix};
+pub use matrix::{dot, leaky_relu, row_mean_inv_std, sigmoid, softmax_in_place, Matrix};
 pub use param::{Param, ParamSet};
 pub use tape::{Tape, Tensor};
 

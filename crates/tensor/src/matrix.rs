@@ -448,6 +448,23 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The logistic sigmoid `1/(1+e^-x)`. The autograd op and the graph
+/// refresh both evaluate it here, so their bits cannot drift apart.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Leaky ReLU with negative slope `slope`; shared like [`sigmoid`].
+#[inline]
+pub fn leaky_relu(x: f32, slope: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        slope * x
+    }
+}
+
 /// In-place numerically-stable softmax over a slice.
 pub fn softmax_in_place(row: &mut [f32]) {
     if row.is_empty() {

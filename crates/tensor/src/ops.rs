@@ -408,7 +408,7 @@ impl Tensor {
     /// neighbor-attention scores).
     pub fn leaky_relu(&self, alpha: f32) -> Tensor {
         let a = self.id;
-        let value = self.tape.inner.borrow().values[a].map(|x| if x > 0.0 { x } else { alpha * x });
+        let value = self.tape.inner.borrow().values[a].map(|x| crate::matrix::leaky_relu(x, alpha));
         self.tape.push(
             value,
             BackwardKind::Op(Box::new(move |g, v, grads| {
@@ -427,7 +427,7 @@ impl Tensor {
     pub fn sigmoid(&self) -> Tensor {
         let a = self.id;
         let out_id = self.next_id();
-        let value = self.tape.inner.borrow().values[a].map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.tape.inner.borrow().values[a].map(crate::matrix::sigmoid);
         self.tape.push(
             value,
             BackwardKind::Op(Box::new(move |g, v, grads| {

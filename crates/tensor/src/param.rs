@@ -82,6 +82,12 @@ impl Param {
         self.inner.borrow().value.clone()
     }
 
+    /// Reads the current value in place, without the copy [`Param::value`]
+    /// makes.
+    pub fn with_value<R>(&self, read: impl FnOnce(&Matrix) -> R) -> R {
+        read(&self.inner.borrow().value)
+    }
+
     /// A copy of the accumulated gradient.
     pub fn grad(&self) -> Matrix {
         self.inner.borrow().grad.clone()

@@ -28,6 +28,7 @@
 
 use std::sync::Arc;
 
+use intellitag::online::TempDir;
 use intellitag::prelude::*;
 
 fn quick_cfg() -> TagRecConfig {
@@ -104,10 +105,8 @@ fn main() {
         move |_shard, payload| stack_l.load(&payload.bytes),
     ));
 
-    let wal_dir = std::env::temp_dir().join(format!("itag-online-loop-{}", std::process::id()));
-    std::fs::create_dir_all(&wal_dir).expect("temp dir");
-    let wal_path = wal_dir.join("clicks.wal");
-    let _ = std::fs::remove_file(&wal_path);
+    let wal_dir = TempDir::new("online-loop").expect("temp dir");
+    let wal_path = wal_dir.path().join("clicks.wal");
     let (writer, recovered) = WalWriter::open(&wal_path, 8, &metrics).expect("wal open");
     assert!(recovered.events.is_empty(), "fresh log starts empty");
     let sink = Arc::new(WalSink::new(writer, &metrics));
@@ -228,7 +227,5 @@ fn main() {
     client.close();
     gateway.shutdown();
     drop(front);
-    let _ = std::fs::remove_file(&wal_path);
-    let _ = std::fs::remove_dir(&wal_dir);
     println!("closed loop verified: serve -> log -> train -> snapshot -> swap -> serve");
 }

@@ -3,6 +3,7 @@
 //! fresh model server, and keep serving — all without the server ever
 //! running GNN layers online.
 
+use intellitag::online::TempDir;
 use intellitag::prelude::*;
 
 fn make_server(world: &World, model: IntelliTag) -> ModelServer<IntelliTag> {
@@ -90,10 +91,8 @@ fn wal_replay_agrees_with_the_offline_t_plus_one_pipeline() {
     // Serving logs the day's traffic: one TagClick per session trail,
     // interleaved with the questions users actually asked.
     let metrics = MetricsRegistry::new();
-    let dir = std::env::temp_dir().join(format!("itag-t1-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("day2.wal");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("t1").unwrap();
+    let path = dir.path().join("day2.wal");
     let (mut writer, _) = WalWriter::open(&path, 4, &metrics).unwrap();
     for s in &day2 {
         writer.append(&WalEvent::TagClick { tenant: s.tenant, clicks: s.clicks.clone() }).unwrap();
@@ -130,5 +129,4 @@ fn wal_replay_agrees_with_the_offline_t_plus_one_pipeline() {
     offline.save(&mut a).unwrap();
     online.save(&mut b).unwrap();
     assert_eq!(a, b, "offline and WAL-replayed artifacts must be byte-identical");
-    let _ = std::fs::remove_file(&path);
 }
