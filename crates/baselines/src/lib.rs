@@ -13,21 +13,18 @@
 //! Everything implements [`SequenceRecommender`], the interface the offline
 //! evaluation (Table IV), the ablations (Table V) and the online simulator
 //! (Fig. 7 / Table VI) consume. [`Popularity`] is the deployed cold-start
-//! fallback, and [`Instrumented`] wraps any recommender with scoring-path
-//! latency/call metrics for the `intellitag-obs` registry.
+//! fallback.
 
 #![warn(missing_docs)]
 
 mod bert4rec;
 mod gru4rec;
-mod instrumented;
 mod metapath2vec;
 mod recommender;
 mod srgnn;
 
 pub use bert4rec::Bert4Rec;
 pub use gru4rec::Gru4Rec;
-pub use instrumented::Instrumented;
 pub use metapath2vec::{M2vConfig, Metapath2Vec};
 pub use recommender::{Popularity, SequenceRecommender, TrainConfig};
 pub use srgnn::SrGnn;

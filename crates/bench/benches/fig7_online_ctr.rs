@@ -11,18 +11,17 @@ use intellitag_baselines::{Bert4Rec, M2vConfig, Metapath2Vec, SequenceRecommende
 use intellitag_bench::{
     baseline_train_cfg, intellitag_cfg, Experiment, MODEL_DIM, MODEL_HEADS, MODEL_LAYERS,
 };
-use intellitag_core::{simulate_online, IntelliTag, ModelServer, SimConfig, SimOutcome};
+use intellitag_core::{simulate_online, Catalog, IntelliTag, ModelServer, SimConfig, SimOutcome};
 use intellitag_datagen::{UserModel, World};
+use std::sync::Arc;
 
-fn bucket<M: SequenceRecommender>(world: &World, model: M, sim: &SimConfig) -> SimOutcome {
-    let server = ModelServer::new(
-        model,
-        world.build_kb(),
-        world.tags.iter().map(|t| t.text()).collect(),
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    );
+fn bucket<M: SequenceRecommender>(
+    world: &World,
+    catalog: &Arc<Catalog>,
+    model: M,
+    sim: &SimConfig,
+) -> SimOutcome {
+    let server = ModelServer::with_catalog(model, Arc::clone(catalog));
     simulate_online(&server, world, &UserModel::default(), sim)
 }
 
@@ -53,10 +52,11 @@ fn run_fig7() {
     );
     let it = IntelliTag::train(&exp.graph, &exp.tag_texts, &exp.train_sessions, intellitag_cfg());
 
+    let catalog = Arc::new(Catalog::from_world(&exp.world));
     let outcomes = [
-        bucket(&exp.world, m2v, &sim),
-        bucket(&exp.world, bert, &sim),
-        bucket(&exp.world, it, &sim),
+        bucket(&exp.world, &catalog, m2v, &sim),
+        bucket(&exp.world, &catalog, bert, &sim),
+        bucket(&exp.world, &catalog, it, &sim),
     ];
 
     println!("\n=== Fig 7: online CTR (macro-averaged over tenants) ===");
@@ -84,14 +84,7 @@ fn bench(c: &mut Criterion) {
     // Criterion target: one full simulated day for the cheapest policy.
     let exp = Experiment::standard(1);
     let m2v = Metapath2Vec::train(&exp.graph, &M2vConfig { dim: MODEL_DIM, ..Default::default() });
-    let server = ModelServer::new(
-        m2v,
-        exp.world.build_kb(),
-        exp.tag_texts.clone(),
-        exp.world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..exp.world.tenants.len()).map(|e| exp.world.tenant_tag_pool(e)).collect(),
-        exp.world.click_frequency(),
-    );
+    let server = ModelServer::with_catalog(m2v, Arc::new(Catalog::from_world(&exp.world)));
     let day = SimConfig { days: 1, sessions_per_day: 50, seed: 1, ..Default::default() };
     c.bench_function("simulate_one_day_m2v_50_sessions", |b| {
         b.iter(|| simulate_online(&server, &exp.world, &UserModel::default(), &day))

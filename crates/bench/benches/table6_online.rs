@@ -19,29 +19,20 @@ use intellitag_bench::{
     baseline_train_cfg, intellitag_cfg, Experiment, MODEL_DIM, MODEL_HEADS, MODEL_LAYERS,
 };
 use intellitag_core::{
-    simulate_online, IntelliTag, ModelServer, ShardConfig, ShardedServer, SimConfig, SimOutcome,
-    TagService,
+    simulate_online, Catalog, IntelliTag, ModelServer, ShardConfig, ShardedServer, SimConfig,
+    SimOutcome, TagService,
 };
 use intellitag_datagen::{UserModel, World};
 use intellitag_obs::MetricsRegistry;
-
-fn make_server<M: SequenceRecommender>(world: &World, model: M) -> ModelServer<M> {
-    ModelServer::new(
-        model,
-        world.build_kb(),
-        world.tags.iter().map(|t| t.text()).collect(),
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    )
-}
+use std::sync::Arc;
 
 fn run_bucket<M: SequenceRecommender>(
     world: &World,
+    catalog: &Arc<Catalog>,
     model: M,
     sim: &SimConfig,
 ) -> (ModelServer<M>, SimOutcome) {
-    let server = make_server(world, model);
+    let server = ModelServer::with_catalog(model, Arc::clone(catalog));
     let outcome = simulate_online(&server, world, &UserModel::default(), sim);
     (server, outcome)
 }
@@ -76,9 +67,11 @@ fn bench(c: &mut Criterion) {
     let sim = SimConfig { days: 5, sessions_per_day: 200, seed: 3, ..Default::default() };
 
     println!("\n=== Table VI: online HIR and response latency ===");
+    // Every bucket, and every shard of the sharded one, shares one catalog.
+    let catalog = Arc::new(Catalog::from_world(&exp.world));
 
     let m2v = Metapath2Vec::train(&exp.graph, &M2vConfig { dim: MODEL_DIM, ..Default::default() });
-    let (m2v_server, m2v_out) = run_bucket(&exp.world, m2v, &sim);
+    let (m2v_server, m2v_out) = run_bucket(&exp.world, &catalog, m2v, &sim);
 
     let bert = Bert4Rec::train(
         &exp.train_sessions,
@@ -88,38 +81,20 @@ fn bench(c: &mut Criterion) {
         MODEL_HEADS,
         &baseline_train_cfg(),
     );
-    let (bert_server, bert_out) = run_bucket(&exp.world, bert, &sim);
+    let (bert_server, bert_out) = run_bucket(&exp.world, &catalog, bert, &sim);
 
     let it = IntelliTag::train(&exp.graph, &exp.tag_texts, &exp.train_sessions, intellitag_cfg());
-    let (it_server, it_out) = run_bucket(&exp.world, it, &sim);
+    let (it_server, it_out) = run_bucket(&exp.world, &catalog, it, &sim);
 
     // --- the sharded bucket: same traffic, served through the front ------
     let pop = Popularity::from_sessions(&exp.train_sessions, n_tags);
-    let (pop_server, pop_out) = run_bucket(&exp.world, pop.clone(), &sim);
+    let (pop_server, pop_out) = run_bucket(&exp.world, &catalog, pop.clone(), &sim);
     let front_registry = MetricsRegistry::new();
-    let front = {
-        let (world, pop) = (&exp.world, pop);
-        let kb = world.build_kb();
-        let tag_texts: Vec<String> = world.tags.iter().map(|t| t.text()).collect();
-        let rq_tags: Vec<Vec<usize>> = world.rqs.iter().map(|r| r.tags.clone()).collect();
-        let tenant_tags: Vec<Vec<usize>> =
-            (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect();
-        let counts = world.click_frequency();
-        ShardedServer::spawn(
-            ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256 },
-            front_registry.clone(),
-            move |_shard| {
-                ModelServer::new(
-                    pop.clone(),
-                    kb.clone(),
-                    tag_texts.clone(),
-                    rq_tags.clone(),
-                    tenant_tags.clone(),
-                    counts.clone(),
-                )
-            },
-        )
-    };
+    let front = ShardedServer::spawn(
+        ShardConfig { shards: 4, batch_max: 8, queue_capacity: 256 },
+        front_registry.clone(),
+        move |_shard| ModelServer::with_catalog(pop.clone(), Arc::clone(&catalog)),
+    );
     let front_out = simulate_online(&front, &exp.world, &UserModel::default(), &sim);
     assert_eq!(
         front_out.hir, pop_out.hir,

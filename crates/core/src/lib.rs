@@ -14,10 +14,15 @@
 //!   per-stage observability through `intellitag-obs` (span timing for
 //!   recall/rerank/score, error and cold-start counters, bounded
 //!   latency histograms).
+//! * [`Catalog`] — what a replica answers from that no model version
+//!   changes (KB, tag texts, `asc` tags, tenant pools, cold-start ranking),
+//!   built once per world ([`Catalog::from_world`]) and shared by every
+//!   replica through an `Arc`.
 //! * [`ShardedServer`] — the sharded, batched serving front: N worker
-//!   threads each owning a `ModelServer` replica, bounded request queues
-//!   with overload shedding, per-shard labeled metrics, and response parity
-//!   with the single-process server (pinned by `tests/sharded_parity.rs`).
+//!   threads each owning a `ModelServer` replica over one shared catalog,
+//!   bounded request queues with overload shedding, per-shard labeled
+//!   metrics, and response parity with the single-process server (pinned
+//!   by `tests/sharded_parity.rs`).
 //! * [`ModelSwap`] / [`SwapPayload`] — the epoch-fenced hot-swap mailbox:
 //!   the online trainer publishes versioned snapshots and every shard
 //!   worker installs them at a drain boundary, so no drain mixes model
@@ -48,8 +53,8 @@ pub use graph_layers::GraphLayers;
 pub use model::IntelliTag;
 pub use qa_matcher::{QaMatcher, QaMatcherConfig};
 pub use serving::{
-    Admission, Completion, CompletionQueue, ModelServer, QuestionResponse, Reply, Request,
-    TagClickResponse, TagService, RECENT_LATENCY_WINDOW,
+    Admission, Catalog, Completion, CompletionQueue, ModelServer, QuestionResponse, Reply, Request,
+    TagClickResponse, TagService,
 };
 pub use sharded::{ModelSwap, ShardConfig, ShardedServer, ShedReason, SwapPayload};
 pub use simulator::{simulate_online, DayMetrics, SimConfig, SimOutcome};

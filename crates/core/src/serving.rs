@@ -16,18 +16,18 @@ use std::sync::{mpsc, Arc};
 use intellitag_baselines::SequenceRecommender;
 use intellitag_obs::{
     tenant_tier, tier_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    SampleRing, SpanTimer, TraceHandle, MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC,
-    SLO_LATENCY_METRIC, SLO_TIER_LABEL,
+    SpanTimer, TraceHandle, MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC, SLO_LATENCY_METRIC,
+    SLO_TIER_LABEL,
 };
 use intellitag_search::{Hit, KbWarehouse};
 
 use crate::qa_matcher::QaMatcher;
 use crate::ShedReason;
 
-/// How many recent raw latency samples the server retains for
-/// [`ModelServer::latencies_us`]. Aggregate statistics come from the
-/// bounded histograms; the ring only serves debugging and the benches.
-pub const RECENT_LATENCY_WINDOW: usize = 1024;
+/// Tags shown per response.
+const TAGS_PER_RESPONSE: usize = 5;
+/// Predicted questions shown per response.
+const QUESTIONS_PER_RESPONSE: usize = 3;
 
 /// One request to a serving front — the three kinds of §V, each owning its
 /// payload so it can ride a queue to whichever thread serves it.
@@ -383,13 +383,13 @@ impl ServerMetrics {
     }
 }
 
-/// The model server: one recommender + the searchable KB + per-tenant
-/// metadata, fully instrumented through a shared [`MetricsRegistry`].
-pub struct ModelServer<M: SequenceRecommender> {
-    model: M,
-    /// Version of the snapshot `model` was loaded from (0 = built directly,
-    /// never published). Bumped by [`ModelServer::install_model`].
-    model_version: u64,
+/// What a replica answers from that no model version changes (§V-B: the
+/// servers load precomputed data and never rebuild it): the searchable KB,
+/// the tag texts, the `asc` tags per RQ, the tenant tag pools, and each
+/// tenant's cold-start ranking, computed once from the click counts. Every
+/// replica of a world holds the same catalog through an [`Arc`].
+#[derive(Debug)]
+pub struct Catalog {
     kb: KbWarehouse,
     /// Surface text per tag (builds the ES query from clicked tags).
     tag_texts: Vec<String>,
@@ -398,25 +398,15 @@ pub struct ModelServer<M: SequenceRecommender> {
     rq_tags: Vec<Vec<usize>>,
     /// Tag inventory per tenant (results never cross tenants).
     tenant_tags: Vec<Vec<usize>>,
-    /// Global click counts (cold-start popularity, §V-B).
-    click_counts: Vec<usize>,
-    /// Tags shown per response.
-    pub tags_per_response: usize,
-    /// Predicted questions shown per response.
-    pub questions_per_response: usize,
-    /// Recent raw latencies — bounded, unlike the old `Vec<u64>` log.
-    recent_latencies: SampleRing,
-    obs: ServerMetrics,
-    /// Optional Q&A matching model re-ranking question recall (the deployed
-    /// system's RoBERTa matcher, §V-A).
-    qa_matcher: Option<QaMatcher>,
+    /// Per tenant, the pool's most-clicked tags, most first and ties by id
+    /// (cold-start popularity, §V-B).
+    cold_start: Vec<Vec<usize>>,
 }
 
-impl<M: SequenceRecommender> ModelServer<M> {
-    /// Assembles a server with its own private metrics registry; use
-    /// [`ModelServer::with_metrics`] to share one across components.
+impl Catalog {
+    /// Takes the tables a replica serves from. `click_counts` are global
+    /// per-tag click counts; only each tenant's popularity ranking is kept.
     pub fn new(
-        model: M,
         kb: KbWarehouse,
         tag_texts: Vec<String>,
         rq_tags: Vec<Vec<usize>>,
@@ -425,27 +415,70 @@ impl<M: SequenceRecommender> ModelServer<M> {
     ) -> Self {
         assert_eq!(kb.len(), rq_tags.len(), "one tag list per RQ");
         assert_eq!(tag_texts.len(), click_counts.len(), "one count per tag");
+        let count = |t: usize| click_counts.get(t).copied().unwrap_or(0);
+        let cold_start = tenant_tags
+            .iter()
+            .map(|pool| {
+                let mut pool = pool.clone();
+                pool.sort_by(|&a, &b| count(b).cmp(&count(a)).then(a.cmp(&b)));
+                pool.truncate(TAGS_PER_RESPONSE);
+                pool
+            })
+            .collect();
+        Catalog { kb, tag_texts, rq_tags, tenant_tags, cold_start }
+    }
+}
+
+/// The model server: one recommender over a shared [`Catalog`], fully
+/// instrumented through a shared [`MetricsRegistry`].
+pub struct ModelServer<M: SequenceRecommender> {
+    model: M,
+    /// Version of the snapshot `model` was loaded from (0 = built directly,
+    /// never published). Bumped by [`ModelServer::install_model`].
+    model_version: u64,
+    catalog: Arc<Catalog>,
+    obs: ServerMetrics,
+    /// Optional Q&A matching model re-ranking question recall (the deployed
+    /// system's RoBERTa matcher, §V-A).
+    qa_matcher: Option<QaMatcher>,
+}
+
+impl<M: SequenceRecommender> ModelServer<M> {
+    /// Assembles a server over a shared catalog, with its own private
+    /// metrics registry; use [`ModelServer::with_metrics`] to share one
+    /// across components.
+    pub fn with_catalog(model: M, catalog: Arc<Catalog>) -> Self {
         ModelServer {
             model,
             model_version: 0,
-            kb,
-            tag_texts,
-            rq_tags,
-            obs: ServerMetrics::bind(MetricsRegistry::new(), tenant_tags.len()),
-            tenant_tags,
-            click_counts,
-            tags_per_response: 5,
-            questions_per_response: 3,
-            recent_latencies: SampleRing::new(RECENT_LATENCY_WINDOW),
+            obs: ServerMetrics::bind(MetricsRegistry::new(), catalog.tenant_tags.len()),
+            catalog,
             qa_matcher: None,
         }
+    }
+
+    /// [`ModelServer::with_catalog`] over a catalog of its own. Kept only
+    /// because the frozen benchmark calls it (`benchmark/src/stack.rs`);
+    /// goes with ROADMAP item 2, like [`ModelServer::cache_hit_rate`].
+    pub fn new(
+        model: M,
+        kb: KbWarehouse,
+        tag_texts: Vec<String>,
+        rq_tags: Vec<Vec<usize>>,
+        tenant_tags: Vec<Vec<usize>>,
+        click_counts: Vec<usize>,
+    ) -> Self {
+        Self::with_catalog(
+            model,
+            Arc::new(Catalog::new(kb, tag_texts, rq_tags, tenant_tags, click_counts)),
+        )
     }
 
     /// Rebinds the server onto a shared metrics registry (e.g. one also fed
     /// by the training loops and the online simulator). Call before serving
     /// traffic — metrics recorded so far stay in the old registry.
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.obs = ServerMetrics::bind(registry, self.tenant_tags.len());
+        self.obs = ServerMetrics::bind(registry, self.catalog.tenant_tags.len());
         self.obs.model_version.set(self.model_version as f64);
         self
     }
@@ -478,7 +511,8 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// into the matcher's memo here, once — no request pays a first-touch
     /// encode, and the question path never re-encodes the KB.
     pub fn with_qa_matcher(mut self, matcher: QaMatcher) -> Self {
-        matcher.prewarm((0..self.kb.len()).map(|rq| self.kb.pair(rq).question.as_str()));
+        let kb = &self.catalog.kb;
+        matcher.prewarm((0..kb.len()).map(|rq| kb.pair(rq).question.as_str()));
         self.qa_matcher = Some(matcher);
         self
     }
@@ -492,14 +526,6 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// The wrapped recommender.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// The most recent request latencies (µs), capped at
-    /// [`RECENT_LATENCY_WINDOW`] samples. Long-running simulations no
-    /// longer grow memory with request count; use
-    /// [`TagService::latency_snapshot`] for whole-run statistics.
-    pub fn latencies_us(&self) -> Vec<u64> {
-        self.recent_latencies.snapshot()
     }
 
     /// Serves one request — the path every front and every blocking call
@@ -518,7 +544,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
     }
 
     /// Records the end of a request on both the per-path and the combined
-    /// histograms plus the recent-sample ring, and ticks the
+    /// histograms, and ticks the
     /// `serving.requests` total; returns the latency in µs. Every request
     /// exit — including degraded and empty responses — funnels through
     /// here, so the counter reconciles exactly against whatever front
@@ -529,7 +555,6 @@ impl<M: SequenceRecommender> ModelServer<M> {
         self.obs.request_latency.record(us);
         self.obs.slo_latency[tier_index(tenant as u64)].record(us);
         self.obs.requests.inc();
-        self.recent_latencies.push(us);
         us
     }
 
@@ -549,25 +574,12 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// `serving.cold_start_fallback`. An out-of-range tenant degrades to an
     /// empty result (plus an error counter) instead of panicking.
     fn cold_start_inner(&self, tenant: usize) -> Vec<usize> {
-        let Some(pool) = self.tenant_tags.get(tenant) else {
+        let Some(tags) = self.catalog.cold_start.get(tenant) else {
             self.obs.err_bad_tenant.inc();
             return Vec::new();
         };
         self.obs.cold_start.inc();
-        self.popularity_tags(pool)
-    }
-
-    /// The popularity ranking behind the cold-start fallback, without the
-    /// fallback counter — also used to top up short tag lists on answered
-    /// questions, which is not a cold start.
-    fn popularity_tags(&self, pool: &[usize]) -> Vec<usize> {
-        let mut pool = pool.to_vec();
-        pool.sort_by(|&a, &b| {
-            let count = |t: usize| self.click_counts.get(t).copied().unwrap_or(0);
-            count(b).cmp(&count(a)).then(a.cmp(&b))
-        });
-        pool.truncate(self.tags_per_response);
-        pool
+        tags.clone()
     }
 
     /// A typed question: recall + best match + `asc` tags. With a Q&A
@@ -581,7 +593,8 @@ impl<M: SequenceRecommender> ModelServer<M> {
     ) -> QuestionResponse {
         let timer = SpanTimer::start();
         self.obs.tenant_request(tenant);
-        if tenant >= self.tenant_tags.len() {
+        let catalog = &*self.catalog;
+        if tenant >= catalog.tenant_tags.len() {
             self.obs.err_bad_tenant.inc();
             let latency_us = self.finish_request(tenant, timer, &self.obs.question_latency);
             return QuestionResponse { latency_us, ..Default::default() };
@@ -590,7 +603,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
             Some(matcher) => {
                 let recall_span = self.obs.stage_recall.span();
                 let recall = trace_stage(trace, "recall", || {
-                    self.kb.recall_for_tenant(question, tenant, 10)
+                    catalog.kb.recall_for_tenant(question, tenant, 10)
                 });
                 recall_span.finish();
                 let rerank_span = self.obs.stage_rerank.span();
@@ -598,15 +611,15 @@ impl<M: SequenceRecommender> ModelServer<M> {
                 let top = trace_stage(trace, "rerank", || {
                     matcher.rerank_top1(
                         question,
-                        recall.iter().map(|h| (h.doc, self.kb.pair(h.doc).question.as_str())),
+                        recall.iter().map(|h| (h.doc, catalog.kb.pair(h.doc).question.as_str())),
                     )
                 });
                 rerank_span.finish();
-                top.map(|rq| (rq, self.kb.pair(rq)))
+                top.map(|rq| (rq, catalog.kb.pair(rq)))
             }
             None => {
                 let recall_span = self.obs.stage_recall.span();
-                let best = trace_stage(trace, "recall", || self.kb.best_match(question, tenant));
+                let best = trace_stage(trace, "recall", || catalog.kb.best_match(question, tenant));
                 recall_span.finish();
                 best
             }
@@ -615,16 +628,16 @@ impl<M: SequenceRecommender> ModelServer<M> {
             Some((rq, pair)) => {
                 // Recommend the matched question's own tags (asc relation),
                 // backfilled with cold-start popularity.
-                let mut tags = self.rq_tags[rq].clone();
-                for t in self.popularity_tags(&self.tenant_tags[tenant]) {
-                    if tags.len() >= self.tags_per_response {
+                let mut tags = catalog.rq_tags[rq].clone();
+                for &t in &catalog.cold_start[tenant] {
+                    if tags.len() >= TAGS_PER_RESPONSE {
                         break;
                     }
                     if !tags.contains(&t) {
                         tags.push(t);
                     }
                 }
-                tags.truncate(self.tags_per_response);
+                tags.truncate(TAGS_PER_RESPONSE);
                 (Some(rq), Some(pair.answer.clone()), tags)
             }
             None => (None, None, self.cold_start_inner(tenant)),
@@ -644,12 +657,12 @@ impl<M: SequenceRecommender> ModelServer<M> {
             self.obs.err_empty_clicks.inc();
             return None;
         }
-        if tenant >= self.tenant_tags.len() {
+        if tenant >= self.catalog.tenant_tags.len() {
             self.obs.err_bad_tenant.inc();
             return None;
         }
         let valid: Vec<usize> =
-            clicks.iter().copied().filter(|&t| t < self.tag_texts.len()).collect();
+            clicks.iter().copied().filter(|&t| t < self.catalog.tag_texts.len()).collect();
         if valid.len() < clicks.len() {
             self.obs.err_bad_tag.add((clicks.len() - valid.len()) as u64);
         }
@@ -659,7 +672,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// The ES query for a click history: concatenated clicked-tag texts
     /// (paper: "the user's successive clicked tags are composed as a query").
     fn click_query(&self, clicks: &[usize]) -> String {
-        clicks.iter().map(|&t| self.tag_texts[t].as_str()).collect::<Vec<_>>().join(" ")
+        clicks.iter().map(|&t| self.catalog.tag_texts[t].as_str()).collect::<Vec<_>>().join(" ")
     }
 
     /// Ranks a candidate pool by model score, dropping already-clicked tags.
@@ -679,7 +692,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
         ranked.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
-        ranked.into_iter().take(self.tags_per_response).map(|(t, _)| t).collect()
+        ranked.into_iter().take(TAGS_PER_RESPONSE).map(|(t, _)| t).collect()
     }
 
     /// Overlap-reranks BM25 recall for a click history (§V-A).
@@ -689,14 +702,15 @@ impl<M: SequenceRecommender> ModelServer<M> {
         let mut rescored: Vec<(usize, f32)> = recall
             .iter()
             .map(|h| {
-                let overlap = self.rq_tags[h.doc].iter().filter(|&&t| clicked(t)).count() as f32;
+                let overlap =
+                    self.catalog.rq_tags[h.doc].iter().filter(|&&t| clicked(t)).count() as f32;
                 (h.doc, h.score / max_bm25 + 2.0 * overlap)
             })
             .collect();
         rescored.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
-        rescored.into_iter().take(self.questions_per_response).map(|(q, _)| q).collect()
+        rescored.into_iter().take(QUESTIONS_PER_RESPONSE).map(|(q, _)| q).collect()
     }
 
     /// Handles a micro-batch of untraced tag clicks, answering each exactly
@@ -754,7 +768,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
             .iter()
             .map(|p| {
                 *row_of.entry((p.tenant, &p.clicks[..])).or_insert_with(|| {
-                    batch.push((&p.clicks[..], &self.tenant_tags[p.tenant][..]));
+                    batch.push((&p.clicks[..], &self.catalog.tenant_tags[p.tenant][..]));
                     batch.len() - 1
                 })
             })
@@ -778,12 +792,14 @@ impl<M: SequenceRecommender> ModelServer<M> {
             // One sorted lookup set per request: membership checks drop
             // from O(clicks) scans per candidate to O(log clicks).
             let click_set = sorted_click_set(&p.clicks);
-            let pool = &self.tenant_tags[p.tenant];
+            let pool = &self.catalog.tenant_tags[p.tenant];
             let recommended_tags = self.recommend_from_scores(&click_set, pool, &scores[row]);
             let recall_span = self.obs.stage_recall.span();
             let recall = trace_stage(p.trace, "recall", || match recalls[row].take() {
                 Some(hits) => hits,
-                None => self.kb.recall_for_tenant(&self.click_query(&p.clicks), p.tenant, 20),
+                None => {
+                    self.catalog.kb.recall_for_tenant(&self.click_query(&p.clicks), p.tenant, 20)
+                }
             });
             recall_span.finish();
             let rerank_span = self.obs.stage_rerank.span();
@@ -854,30 +870,33 @@ impl<M: SequenceRecommender> TagService for ModelServer<M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use intellitag_baselines::Popularity;
     use intellitag_obs::TraceHandle;
 
-    fn server() -> ModelServer<Popularity> {
+    /// Global click counts of the toy catalog's six tags.
+    pub(crate) const TOY_CLICKS: [usize; 6] = [5, 9, 3, 7, 2, 4];
+
+    /// Three RQs over six tags in two tenants — tags: 0 change,
+    /// 1 password, 2 apply, 3 etc card, 4 cancel, 5 order.
+    pub(crate) fn toy_catalog() -> Arc<Catalog> {
         let mut kb = KbWarehouse::new();
         kb.add_pair("how to change password", "settings > security", 0);
         kb.add_pair("how to apply for etc card", "apply in the etc menu", 0);
         kb.add_pair("where to cancel the order", "orders > cancel", 1);
-        // tags: 0 change, 1 password, 2 apply, 3 etc card, 4 cancel, 5 order
-        let tag_texts = vec![
-            "change".into(),
-            "password".into(),
-            "apply".into(),
-            "etc card".into(),
-            "cancel".into(),
-            "order".into(),
-        ];
-        let rq_tags = vec![vec![0, 1], vec![2, 3], vec![4, 5]];
-        let tenant_tags = vec![vec![0, 1, 2, 3], vec![4, 5]];
-        let clicks = vec![5, 9, 3, 7, 2, 4];
-        let model = Popularity::from_counts(&clicks);
-        ModelServer::new(model, kb, tag_texts, rq_tags, tenant_tags, clicks)
+        let tag_texts = ["change", "password", "apply", "etc card", "cancel", "order"];
+        Arc::new(Catalog::new(
+            kb,
+            tag_texts.map(String::from).to_vec(),
+            vec![vec![0, 1], vec![2, 3], vec![4, 5]],
+            vec![vec![0, 1, 2, 3], vec![4, 5]],
+            TOY_CLICKS.to_vec(),
+        ))
+    }
+
+    fn server() -> ModelServer<Popularity> {
+        ModelServer::with_catalog(Popularity::from_counts(&TOY_CLICKS), toy_catalog())
     }
 
     fn counter_value(s: &ModelServer<Popularity>, name: &str) -> u64 {
@@ -1197,20 +1216,9 @@ mod tests {
         let s = server();
         let _ = s.handle_question(0, "change password");
         let _ = s.handle_tag_click(0, &[0]);
-        assert_eq!(s.latencies_us().len(), 2);
         assert_eq!(s.latency_snapshot().count, 2);
         assert_eq!(s.metrics().histogram("serving.question_us").count(), 1);
         assert_eq!(s.metrics().histogram("serving.tag_click_us").count(), 1);
-    }
-
-    #[test]
-    fn recent_latency_log_is_bounded() {
-        let s = server();
-        for i in 0..(RECENT_LATENCY_WINDOW + 50) {
-            let _ = s.handle_tag_click(i % 2, &[if i % 2 == 0 { 0 } else { 4 }]);
-        }
-        assert_eq!(s.latencies_us().len(), RECENT_LATENCY_WINDOW);
-        assert_eq!(s.latency_snapshot().count, (RECENT_LATENCY_WINDOW + 50) as u64);
     }
 
     #[test]

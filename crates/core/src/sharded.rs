@@ -1,5 +1,6 @@
-//! The sharded, batched serving front: N worker threads, each owning a full
-//! [`ModelServer`] replica, multiplexing tenant traffic over bounded
+//! The sharded, batched serving front: N worker threads, each owning a
+//! [`ModelServer`] replica (its own model, the world's shared
+//! [`crate::Catalog`]), multiplexing tenant traffic over bounded
 //! `std::sync::mpsc` request queues.
 //!
 //! This is the ROADMAP's "next scaling step" for the paper's online system
@@ -16,8 +17,8 @@
 //! for any request stream the front returns responses identical to a
 //! single-process [`ModelServer`] built from the same data: shard count and
 //! batch size are pure performance knobs. This holds because every model in
-//! the workspace is deterministic and each shard owns a complete replica,
-//! so no request's answer depends on scheduling.
+//! the workspace is deterministic and each shard owns a whole model over the
+//! same read-only catalog, so no request's answer depends on scheduling.
 //!
 //! Every shard publishes labeled series into the shared
 //! [`MetricsRegistry`]: `sharded.request_us{shard="i"}` (front entry to
@@ -608,31 +609,16 @@ fn worker_loop<M: SequenceRecommender>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::tests::{toy_catalog, TOY_CLICKS};
     use crate::serving::{Completion, TagClickResponse};
     use intellitag_baselines::Popularity;
-    use intellitag_search::KbWarehouse;
 
     fn server_with<M: SequenceRecommender>(model: M) -> ModelServer<M> {
-        let mut kb = KbWarehouse::new();
-        kb.add_pair("how to change password", "settings > security", 0);
-        kb.add_pair("how to apply for etc card", "apply in the etc menu", 0);
-        kb.add_pair("where to cancel the order", "orders > cancel", 1);
-        let tag_texts = vec![
-            "change".into(),
-            "password".into(),
-            "apply".into(),
-            "etc card".into(),
-            "cancel".into(),
-            "order".into(),
-        ];
-        let rq_tags = vec![vec![0, 1], vec![2, 3], vec![4, 5]];
-        let tenant_tags = vec![vec![0, 1, 2, 3], vec![4, 5]];
-        let clicks = vec![5, 9, 3, 7, 2, 4];
-        ModelServer::new(model, kb, tag_texts, rq_tags, tenant_tags, clicks)
+        ModelServer::with_catalog(model, toy_catalog())
     }
 
     fn replica() -> ModelServer<Popularity> {
-        server_with(Popularity::from_counts(&[5, 9, 3, 7, 2, 4]))
+        server_with(Popularity::from_counts(&TOY_CLICKS))
     }
 
     /// A job whose reply lands on a queue of its own (token 0), the way the

@@ -12,7 +12,23 @@ use rand::distributions::WeightedIndex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use crate::serving::TagService;
+use crate::serving::{Catalog, TagService};
+
+impl Catalog {
+    /// The catalog a world's replicas serve from: its KB, tag texts, `asc`
+    /// tags per RQ, tenant tag pools and click counts. The one place these
+    /// tables are derived from a [`World`]; build it once per world and
+    /// hand every replica an `Arc` clone.
+    pub fn from_world(world: &World) -> Self {
+        Catalog::new(
+            world.build_kb(),
+            world.tags.iter().map(|t| t.text()).collect(),
+            world.rqs.iter().map(|r| r.tags.clone()).collect(),
+            (0..world.tenants.len()).map(|t| world.tenant_tag_pool(t)).collect(),
+            world.click_frequency(),
+        )
+    }
+}
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -200,23 +216,18 @@ mod tests {
     use crate::serving::ModelServer;
     use intellitag_baselines::Popularity;
     use intellitag_datagen::WorldConfig;
+    use std::sync::Arc;
 
-    fn make_server(world: &World) -> ModelServer<Popularity> {
-        let kb = world.build_kb();
-        let tag_texts: Vec<String> = world.tags.iter().map(|t| t.text()).collect();
-        let rq_tags: Vec<Vec<usize>> = world.rqs.iter().map(|r| r.tags.clone()).collect();
-        let tenant_tags: Vec<Vec<usize>> =
-            (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect();
-        let counts = world.click_frequency();
+    fn popularity(world: &World) -> Popularity {
         let sessions: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
-        let model = Popularity::from_sessions(&sessions, world.tags.len());
-        ModelServer::new(model, kb, tag_texts, rq_tags, tenant_tags, counts)
+        Popularity::from_sessions(&sessions, world.tags.len())
     }
 
     #[test]
     fn simulation_produces_sane_metrics() {
         let world = World::generate(WorldConfig::tiny(9));
-        let server = make_server(&world);
+        let server =
+            ModelServer::with_catalog(popularity(&world), Arc::new(Catalog::from_world(&world)));
         let cfg = SimConfig { days: 3, sessions_per_day: 40, ..Default::default() };
         let out = simulate_online(&server, &world, &UserModel::default(), &cfg);
         assert_eq!(out.daily.len(), 3);
@@ -233,7 +244,8 @@ mod tests {
     #[test]
     fn same_seed_same_intent_stream() {
         let world = World::generate(WorldConfig::tiny(9));
-        let server = make_server(&world);
+        let server =
+            ModelServer::with_catalog(popularity(&world), Arc::new(Catalog::from_world(&world)));
         let cfg = SimConfig { days: 2, sessions_per_day: 30, seed: 5, ..Default::default() };
         let a = simulate_online(&server, &world, &UserModel::default(), &cfg);
         let b = simulate_online(&server, &world, &UserModel::default(), &cfg);
@@ -250,32 +262,16 @@ mod tests {
 
         let world = World::generate(WorldConfig::tiny(9));
         let cfg = SimConfig { days: 2, sessions_per_day: 30, seed: 7, ..Default::default() };
-        let single = make_server(&world);
+        let catalog = Arc::new(Catalog::from_world(&world));
+        let model = popularity(&world);
+        let single = ModelServer::with_catalog(model.clone(), Arc::clone(&catalog));
         let a = simulate_online(&single, &world, &UserModel::default(), &cfg);
 
-        // The factory captures only cloneable server data, rebuilding one
-        // full replica inside each worker thread.
-        let kb = world.build_kb();
-        let tag_texts: Vec<String> = world.tags.iter().map(|t| t.text()).collect();
-        let rq_tags: Vec<Vec<usize>> = world.rqs.iter().map(|r| r.tags.clone()).collect();
-        let tenant_tags: Vec<Vec<usize>> =
-            (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect();
-        let counts = world.click_frequency();
-        let sessions: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
-        let n_tags = world.tags.len();
+        // Every worker builds its replica over the same catalog.
         let front = ShardedServer::spawn(
             ShardConfig { shards: 3, batch_max: 4, ..Default::default() },
             MetricsRegistry::new(),
-            move |_shard| {
-                ModelServer::new(
-                    Popularity::from_sessions(&sessions, n_tags),
-                    kb.clone(),
-                    tag_texts.clone(),
-                    rq_tags.clone(),
-                    tenant_tags.clone(),
-                    counts.clone(),
-                )
-            },
+            move |_shard| ModelServer::with_catalog(model.clone(), Arc::clone(&catalog)),
         );
         let b = simulate_online(&front, &world, &UserModel::default(), &cfg);
         // Same seed, same responses: the whole observable series coincides.
@@ -292,7 +288,8 @@ mod tests {
     #[test]
     fn simulation_publishes_rolling_gauges() {
         let world = World::generate(WorldConfig::tiny(9));
-        let server = make_server(&world);
+        let server =
+            ModelServer::with_catalog(popularity(&world), Arc::new(Catalog::from_world(&world)));
         let cfg = SimConfig { days: 2, sessions_per_day: 20, ..Default::default() };
         let out = simulate_online(&server, &world, &UserModel::default(), &cfg);
         let m = server.metrics();
@@ -307,7 +304,8 @@ mod tests {
     #[test]
     fn irrelevant_recommendations_drive_hir_up() {
         let world = World::generate(WorldConfig::tiny(9));
-        let server = make_server(&world);
+        let server =
+            ModelServer::with_catalog(popularity(&world), Arc::new(Catalog::from_world(&world)));
         // A user who clicks nothing can never be solved (question-first off
         // so the Q&A path cannot solve the session either).
         let blind = UserModel { p_intent: 0.0, p_topic: 0.0, p_other: 0.0, position_bias: false };

@@ -16,8 +16,6 @@
 //!   of sample count), p50/p90/p99 estimates within 6.25% relative error.
 //! * [`SpanTimer`] / [`Span`] — per-stage wall-clock timing that records
 //!   into a histogram on drop.
-//! * [`SampleRing`] — bounded ring of recent raw samples, replacing the
-//!   unbounded `Vec<u64>` latency log the server used to keep.
 //! * [`MetricsRegistry`] — a cloneable handle mapping names to metrics,
 //!   with Prometheus text exposition
 //!   ([`MetricsRegistry::render_prometheus`]).
@@ -44,7 +42,6 @@ mod histogram;
 mod metric;
 mod online;
 mod registry;
-mod ring;
 mod slo;
 mod trace;
 
@@ -60,7 +57,6 @@ pub use online::{
     WAL_FSYNCS_METRIC, WAL_TRUNCATED_BYTES_METRIC,
 };
 pub use registry::{Metric, MetricsRegistry};
-pub use ring::SampleRing;
 pub use slo::{
     tenant_tier, tier_index, SloReport, TierSlo, SLO_LATENCY_METRIC, SLO_SHED_METRIC,
     SLO_TIER_LABEL,

@@ -40,9 +40,6 @@ impl Default for Bm25Params {
 }
 
 /// An append-only inverted index over tokenized documents.
-///
-/// `Clone` supports replica-per-shard serving: each worker of the sharded
-/// front owns a full copy of the index.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     postings: HashMap<String, Vec<Posting>>,

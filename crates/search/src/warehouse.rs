@@ -23,9 +23,6 @@ pub struct QaPair {
 /// collection pipeline generates them), the warehouse indexes the RQ text,
 /// and online requests retrieve a recall set to be re-ranked by the model
 /// server.
-///
-/// `Clone` supports replica-per-shard serving: each worker of the sharded
-/// front owns a full copy of the warehouse.
 #[derive(Debug, Clone, Default)]
 pub struct KbWarehouse {
     pairs: Vec<QaPair>,

@@ -279,33 +279,6 @@ impl Tensor {
         self.slice_rows(r, r + 1)
     }
 
-    /// Copies arbitrary rows in the given order (duplicates allowed),
-    /// producing a `len(indices) x C` tensor. Gradients scatter-add back
-    /// into the source rows. This is the batched counterpart of
-    /// [`Tensor::row`]: selecting every sequence's prediction slot out of a
-    /// row-stacked batch is one gather instead of a row/concat loop.
-    pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        let a = self.id;
-        let (rows, cols) = self.shape();
-        for &r in indices {
-            assert!(r < rows, "gather_rows: row {r} out of range ({rows} rows)");
-        }
-        let indices = indices.to_vec();
-        let value = self.tape.inner.borrow().values[a].gather_rows(&indices);
-        self.tape.push(
-            value,
-            BackwardKind::Op(Box::new(move |g, _v, grads| {
-                let mut ga = Matrix::zeros(rows, cols);
-                for (i, &r) in indices.iter().enumerate() {
-                    for (o, &gg) in ga.row_slice_mut(r).iter_mut().zip(g.row_slice(i)) {
-                        *o += gg;
-                    }
-                }
-                acc(&mut grads[a], ga);
-            })),
-        )
-    }
-
     /// Tiles a `1 x C` tensor into `k x C`.
     pub fn repeat_rows(&self, k: usize) -> Tensor {
         assert_eq!(self.rows(), 1, "repeat_rows requires a row vector");

@@ -191,20 +191,6 @@ fn grad_gather_embedding() {
 }
 
 #[test]
-fn grad_gather_rows_scatter_adds() {
-    // Duplicate indices must scatter-add into the source row's gradient.
-    let a = p("a", 4, 3, 19);
-    let w = p("w", 3, 1, 23);
-    assert_grads_match(&[a.clone(), w.clone()], 1e-2, || {
-        let tape = Tape::new();
-        let x = tape.param(&a).gather_rows(&[3, 1, 1, 0]);
-        let loss = x.matmul(&tape.param(&w)).mul(&x.matmul(&tape.param(&w))).mean_all();
-        loss.backward();
-        loss.scalar()
-    });
-}
-
-#[test]
 fn grad_mse_and_means() {
     let a = p("a", 3, 3, 19);
     let target = Matrix::full(3, 3, 0.5);

@@ -7,7 +7,28 @@
 //! cargo run --release --example online_ab_test
 //! ```
 
+use std::sync::Arc;
+
+use intellitag::core::SimOutcome;
 use intellitag::prelude::*;
+
+/// Runs one traffic bucket on a metrics registry of its own: each server
+/// publishes its per-stage latency histograms and counters into its own
+/// scrape surface.
+fn bucket<M: SequenceRecommender>(
+    name: &str,
+    model: M,
+    catalog: &Arc<Catalog>,
+    world: &World,
+    user: &UserModel,
+    sim: &SimConfig,
+) -> (SimOutcome, MetricsRegistry) {
+    println!("bucket: {name}");
+    let registry = MetricsRegistry::new();
+    let server =
+        ModelServer::with_catalog(model, Arc::clone(catalog)).with_metrics(registry.clone());
+    (simulate_online(&server, world, user, sim), registry)
+}
 
 fn main() {
     // The sparse regime: many long-tail tags and small tenants, where the
@@ -27,42 +48,15 @@ fn main() {
 
     let sim = SimConfig { days: 10, sessions_per_day: 150, ..Default::default() };
     let user = UserModel::default();
-    let make_server = |name: &str| {
-        println!("bucket: {name}");
-        (
-            world.build_kb(),
-            texts.clone(),
-            world.rqs.iter().map(|r| r.tags.clone()).collect::<Vec<_>>(),
-            (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect::<Vec<_>>(),
-            world.click_frequency(),
-        )
-    };
-
-    // One metrics registry per bucket: each server publishes its per-stage
-    // latency histograms and counters into its own scrape surface.
-    let mut outcomes = Vec::new();
-    let mut registries = Vec::new();
-    {
-        let (kb, t, rt, tt, cc) = make_server("metapath2vec");
-        let registry = MetricsRegistry::new();
-        let server = ModelServer::new(m2v, kb, t, rt, tt, cc).with_metrics(registry.clone());
-        outcomes.push(simulate_online(&server, &world, &user, &sim));
-        registries.push(registry);
-    }
-    {
-        let (kb, t, rt, tt, cc) = make_server("BERT4Rec");
-        let registry = MetricsRegistry::new();
-        let server = ModelServer::new(bert, kb, t, rt, tt, cc).with_metrics(registry.clone());
-        outcomes.push(simulate_online(&server, &world, &user, &sim));
-        registries.push(registry);
-    }
-    {
-        let (kb, t, rt, tt, cc) = make_server("IntelliTag");
-        let registry = MetricsRegistry::new();
-        let server = ModelServer::new(intellitag, kb, t, rt, tt, cc).with_metrics(registry.clone());
-        outcomes.push(simulate_online(&server, &world, &user, &sim));
-        registries.push(registry);
-    }
+    // Every bucket answers from the same catalog; only the policy differs.
+    let catalog = Arc::new(Catalog::from_world(&world));
+    let (outcomes, registries): (Vec<_>, Vec<_>) = [
+        bucket("metapath2vec", m2v, &catalog, &world, &user, &sim),
+        bucket("BERT4Rec", bert, &catalog, &world, &user, &sim),
+        bucket("IntelliTag", intellitag, &catalog, &world, &user, &sim),
+    ]
+    .into_iter()
+    .unzip();
 
     println!("\n== Fig 7: daily macro-averaged CTR ==");
     print!("{:<14}", "day");

@@ -55,6 +55,7 @@ struct Stack {
     world: World,
     graph: HetGraph,
     texts: Vec<String>,
+    catalog: Arc<Catalog>,
     cfg: TagRecConfig,
 }
 
@@ -65,14 +66,7 @@ impl Stack {
     }
 
     fn server(&self, model: IntelliTag) -> ModelServer<IntelliTag> {
-        ModelServer::new(
-            model,
-            self.world.build_kb(),
-            self.texts.clone(),
-            self.world.rqs.iter().map(|r| r.tags.clone()).collect(),
-            (0..self.world.tenants.len()).map(|t| self.world.tenant_tag_pool(t)).collect(),
-            self.world.click_frequency(),
-        )
+        ModelServer::with_catalog(model, Arc::clone(&self.catalog))
     }
 }
 
@@ -89,7 +83,8 @@ fn main() {
     let base = IntelliTag::train(&graph, &texts, &train, quick_cfg());
     let mut base_bytes = Vec::new();
     base.save(&mut base_bytes).expect("in-memory save");
-    let stack = Arc::new(Stack { world, graph, texts, cfg: quick_cfg() });
+    let catalog = Arc::new(Catalog::from_world(&world));
+    let stack = Arc::new(Stack { world, graph, texts, catalog, cfg: quick_cfg() });
 
     // ---- serving side: swappable sharded front behind the gateway -------
     let metrics = MetricsRegistry::new();

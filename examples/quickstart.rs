@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::sync::Arc;
+
 use intellitag::prelude::*;
 
 fn main() {
@@ -46,14 +48,7 @@ fn main() {
     println!("{}", report.table_row("IntelliTag"));
 
     // ----- 4. Serve requests (the paper's Fig. 1 interaction) -------------
-    let server = ModelServer::new(
-        model,
-        world.build_kb(),
-        texts.clone(),
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    );
+    let server = ModelServer::with_catalog(model, Arc::new(Catalog::from_world(&world)));
     // Pick a tenant with a healthy corpus for the demo.
     let tenant = (0..world.tenants.len()).max_by_key(|&e| world.rqs_by_tenant[e].len()).unwrap();
     let rq = &world.rqs[world.rqs_by_tenant[tenant][0]];

@@ -63,11 +63,11 @@ pub use intellitag_text as text;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use intellitag_baselines::{
-        Bert4Rec, Gru4Rec, Instrumented, M2vConfig, Metapath2Vec, Popularity, SequenceRecommender,
-        SrGnn, TrainConfig,
+        Bert4Rec, Gru4Rec, M2vConfig, Metapath2Vec, Popularity, SequenceRecommender, SrGnn,
+        TrainConfig,
     };
     pub use intellitag_core::{
-        evaluate_offline, simulate_online, Admission, IntelliTag, ModelServer, ModelSwap,
+        evaluate_offline, simulate_online, Admission, Catalog, IntelliTag, ModelServer, ModelSwap,
         ProtocolConfig, Reply, Request, ShardConfig, ShardedServer, ShedReason, SimConfig,
         SwapPayload, TagRecConfig, TagService,
     };

@@ -2,7 +2,10 @@
 //! routine run once.
 
 #[derive(Default)]
-pub struct Criterion;
+pub struct Criterion {
+    /// The requested sample count; every routine still runs once.
+    _samples: usize,
+}
 
 pub struct Bencher;
 
@@ -13,8 +16,8 @@ impl Bencher {
 }
 
 impl Criterion {
-    pub fn sample_size(self, _n: usize) -> Self {
-        self
+    pub fn sample_size(self, n: usize) -> Self {
+        Criterion { _samples: n }
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, _id: &str, mut f: F) -> &mut Self {

@@ -55,44 +55,19 @@ impl Rng {
     }
 }
 
-/// Everything a `ModelServer` replica needs, cloneable into factories.
-#[derive(Clone)]
-struct ServerParts {
-    kb: KbWarehouse,
-    tag_texts: Vec<String>,
-    rq_tags: Vec<Vec<usize>>,
-    tenant_tags: Vec<Vec<usize>>,
-    counts: Vec<usize>,
-    model: Popularity,
+/// The session popularity model every replica of `world` serves.
+fn popularity(world: &World) -> Popularity {
+    let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
+    Popularity::from_sessions(&train, world.tags.len())
 }
 
-impl ServerParts {
-    fn from_world(world: &World) -> Self {
-        let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
-        ServerParts {
-            kb: world.build_kb(),
-            tag_texts: world.tags.iter().map(|t| t.text()).collect(),
-            rq_tags: world.rqs.iter().map(|r| r.tags.clone()).collect(),
-            tenant_tags: (0..world.tenants.len()).map(|t| world.tenant_tag_pool(t)).collect(),
-            counts: world.click_frequency(),
-            model: Popularity::from_sessions(&train, world.tags.len()),
-        }
-    }
-
-    fn build(&self) -> ModelServer<Popularity> {
-        self.build_with(self.model.clone())
-    }
-
-    fn build_with<M: SequenceRecommender>(&self, model: M) -> ModelServer<M> {
-        ModelServer::new(
-            model,
-            self.kb.clone(),
-            self.tag_texts.clone(),
-            self.rq_tags.clone(),
-            self.tenant_tags.clone(),
-            self.counts.clone(),
-        )
-    }
+/// A replica factory for `world`: [`popularity`] over one shared catalog,
+/// cloneable into shard and gateway factories.
+fn replicas(
+    world: &World,
+) -> impl Fn(usize) -> ModelServer<Popularity> + Clone + Send + Sync + 'static {
+    let (model, catalog) = (popularity(world), Arc::new(Catalog::from_world(world)));
+    move |_| ModelServer::with_catalog(model.clone(), Arc::clone(&catalog))
 }
 
 /// A seeded mixed request stream: questions, click trails and cold starts.
@@ -139,11 +114,10 @@ fn direct_answer<S: TagService>(service: &S, req: &RecommendRequest) -> Recommen
 #[test]
 fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
     let world = World::generate(WorldConfig::tiny(83));
-    let parts = ServerParts::from_world(&world);
-    let direct = parts.build();
+    let replica = replicas(&world);
+    let direct = replica(0);
 
     let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig {
             shards: 4,
@@ -153,7 +127,7 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
             queue_capacity: 8,
         },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replica,
     ));
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(
@@ -325,14 +299,12 @@ fn pipelined_clients_saturate_a_shedding_sharded_front_and_reconcile() {
 #[test]
 fn mid_pipeline_shutdown_drains_inflight_without_hanging() {
     let world = World::generate(WorldConfig::tiny(97));
-    let parts = ServerParts::from_world(&world);
 
     let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards: 2, batch_max: 2, queue_capacity: 64 },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replicas(&world),
     ));
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(
@@ -380,9 +352,7 @@ fn mid_pipeline_shutdown_drains_inflight_without_hanging() {
 #[test]
 fn gateway_client_retries_a_stale_pooled_connection() {
     let world = World::generate(WorldConfig::tiny(31));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
     let handle = Gateway::spawn(
         "127.0.0.1:0",
         GatewayConfig {
@@ -393,7 +363,7 @@ fn gateway_client_retries_a_stale_pooled_connection() {
             ..Default::default()
         },
         &registry,
-        move |_worker| factory_parts.build(),
+        replicas(&world),
     )
     .expect("gateway binds");
 
@@ -499,7 +469,7 @@ fn gated_stack_with(
     world: &World,
     cfg: GatewayConfig,
 ) -> (Arc<Gate>, GatewayHandle, Arc<ShardedServer>) {
-    let parts = ServerParts::from_world(world);
+    let (model, catalog) = (popularity(world), Arc::new(Catalog::from_world(world)));
     let gate = Arc::new(Gate::default());
     let registry = MetricsRegistry::new();
     let factory_gate = Arc::clone(&gate);
@@ -508,7 +478,7 @@ fn gated_stack_with(
         registry.clone(),
         move |shard| {
             let gate = (shard == 0).then(|| Arc::clone(&factory_gate));
-            parts.build_with(Gated { inner: parts.model.clone(), gate })
+            ModelServer::with_catalog(Gated { inner: model.clone(), gate }, Arc::clone(&catalog))
         },
     ));
     let share = Arc::clone(&front);
@@ -552,12 +522,11 @@ fn click_for(world: &World, tenant: usize) -> RecommendRequest {
 #[test]
 fn idle_binary_round_trips_do_not_wait_for_a_timer_tick() {
     let world = World::generate(WorldConfig::tiny(41));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards: 2, ..Default::default() },
         registry.clone(),
-        move |_shard| parts.build(),
+        replicas(&world),
     ));
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(
@@ -666,12 +635,11 @@ fn the_inflight_cap_is_a_permit_freed_by_completions() {
 #[test]
 fn submit_on_a_saturated_pool_reads_past_queued_completions() {
     let world = World::generate(WorldConfig::tiny(59));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards: 1, ..Default::default() },
         registry.clone(),
-        move |_shard| parts.build(),
+        replicas(&world),
     ));
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(
@@ -746,12 +714,11 @@ fn a_half_closed_connection_still_receives_every_reply() {
 #[test]
 fn eof_racing_the_last_completion_never_loses_a_reply_or_the_worker() {
     let world = World::generate(WorldConfig::tiny(59));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards: 2, ..Default::default() },
         registry.clone(),
-        move |_shard| parts.build(),
+        replicas(&world),
     ));
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(

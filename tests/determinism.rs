@@ -1,6 +1,8 @@
 //! Seed determinism across the whole stack: identical seeds must produce
 //! bit-identical models, metrics and simulations.
 
+use std::sync::Arc;
+
 use intellitag::prelude::*;
 
 #[test]
@@ -69,14 +71,7 @@ fn evaluation_and_simulation_are_deterministic() {
     assert_eq!(r1.mrr, r2.mrr);
     assert_eq!(r1.ndcg10, r2.ndcg10);
 
-    let server = ModelServer::new(
-        pop,
-        world.build_kb(),
-        world.tags.iter().map(|t| t.text()).collect(),
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    );
+    let server = ModelServer::with_catalog(pop, Arc::new(Catalog::from_world(&world)));
     let sim = SimConfig { days: 2, sessions_per_day: 25, seed: 11, ..Default::default() };
     let o1 = simulate_online(&server, &world, &UserModel::default(), &sim);
     let o2 = simulate_online(&server, &world, &UserModel::default(), &sim);

@@ -35,40 +35,15 @@ impl Rng {
     }
 }
 
-/// Everything a `ModelServer` replica needs, cloneable into factories.
-#[derive(Clone)]
-struct ServerParts {
-    kb: KbWarehouse,
-    tag_texts: Vec<String>,
-    rq_tags: Vec<Vec<usize>>,
-    tenant_tags: Vec<Vec<usize>>,
-    counts: Vec<usize>,
-    model: Popularity,
-}
-
-impl ServerParts {
-    fn from_world(world: &World) -> Self {
-        let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
-        ServerParts {
-            kb: world.build_kb(),
-            tag_texts: world.tags.iter().map(|t| t.text()).collect(),
-            rq_tags: world.rqs.iter().map(|r| r.tags.clone()).collect(),
-            tenant_tags: (0..world.tenants.len()).map(|t| world.tenant_tag_pool(t)).collect(),
-            counts: world.click_frequency(),
-            model: Popularity::from_sessions(&train, world.tags.len()),
-        }
-    }
-
-    fn build(&self) -> ModelServer<Popularity> {
-        ModelServer::new(
-            self.model.clone(),
-            self.kb.clone(),
-            self.tag_texts.clone(),
-            self.rq_tags.clone(),
-            self.tenant_tags.clone(),
-            self.counts.clone(),
-        )
-    }
+/// A replica factory for `world`: session popularity over one shared
+/// catalog, cloneable into shard and gateway factories.
+fn replicas(
+    world: &World,
+) -> impl Fn(usize) -> ModelServer<Popularity> + Clone + Send + Sync + 'static {
+    let catalog = Arc::new(Catalog::from_world(world));
+    let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
+    let model = Popularity::from_sessions(&train, world.tags.len());
+    move |_| ModelServer::with_catalog(model.clone(), Arc::clone(&catalog))
 }
 
 /// One wire request of the replayed stream: the route plus its payload.
@@ -157,11 +132,11 @@ fn wire_answer(
 #[test]
 fn gateway_over_model_server_matches_direct_responses() {
     let world = World::generate(WorldConfig::tiny(29));
-    let parts = ServerParts::from_world(&world);
+    let replica = replicas(&world);
     let stream = wire_stream(&world, 404, 120);
 
     // Direct answers from one in-process replica.
-    let direct = parts.build();
+    let direct = replica(0);
     let expected: Vec<RecommendResponse> =
         stream.iter().map(|c| direct_answer(&direct, c)).collect();
     // The stream exercised every route, including degraded traffic.
@@ -172,7 +147,6 @@ fn gateway_over_model_server_matches_direct_responses() {
     // Two workers, each with its own deterministic replica: whichever
     // worker picks up the connection must produce the same bytes.
     let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
     let factory_registry = registry.clone();
     let handle = Gateway::spawn(
         "127.0.0.1:0",
@@ -181,7 +155,7 @@ fn gateway_over_model_server_matches_direct_responses() {
         // Rebind each replica onto the shared registry so the gateway's
         // wire counters and the replicas' serving.* series reconcile in
         // one scrape.
-        move |_worker| factory_parts.build().with_metrics(factory_registry.clone()),
+        move |worker| replica(worker).with_metrics(factory_registry.clone()),
     )
     .expect("gateway binds an ephemeral port");
 
@@ -215,16 +189,15 @@ fn gateway_over_model_server_matches_direct_responses() {
 #[test]
 fn gateway_over_sharded_front_reconciles_under_concurrency() {
     let world = World::generate(WorldConfig::tiny(61));
-    let parts = ServerParts::from_world(&world);
-    let direct = parts.build();
+    let replica = replicas(&world);
+    let direct = replica(0);
 
     let registry = MetricsRegistry::new();
     let shards = 4usize;
-    let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards, batch_max: 4, queue_capacity: 64 },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replica,
     ));
     // All gateway workers share the one sharded front via `Arc`.
     let share = Arc::clone(&front);
@@ -377,15 +350,13 @@ fn spans_of(trace_line: &str) -> Vec<(String, u64, Option<u64>, Option<u64>)> {
 #[test]
 fn client_trace_ids_round_trip_with_full_span_decomposition() {
     let world = World::generate(WorldConfig::tiny(83));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
     // One shard with room to batch: concurrent clicks below pile up behind
     // the worker, so some drains carry several requests.
-    let factory_parts = parts.clone();
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards: 1, batch_max: 8, queue_capacity: 64 },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replicas(&world),
     ));
     let share = Arc::clone(&front);
     let handle = Gateway::spawn(
@@ -491,13 +462,12 @@ fn client_trace_ids_round_trip_with_full_span_decomposition() {
 #[test]
 fn gateway_error_paths_are_clean_json_statuses() {
     let world = World::generate(WorldConfig::tiny(7));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
     let handle = Gateway::spawn(
         "127.0.0.1:0",
         GatewayConfig { workers: 1, ..Default::default() },
         &registry,
-        move |_| parts.build(),
+        replicas(&world),
     )
     .expect("gateway binds");
 
@@ -570,12 +540,11 @@ fn span_names_of(traces: &str, id: u64) -> Vec<String> {
 }
 
 /// A sharded front behind a gateway — the deployed stack.
-fn sharded_stack(parts: &ServerParts, registry: &MetricsRegistry) -> GatewayHandle {
-    let factory_parts = parts.clone();
+fn sharded_stack(world: &World, registry: &MetricsRegistry) -> GatewayHandle {
     let front = Arc::new(ShardedServer::spawn(
         ShardConfig { shards: 2, batch_max: 8, queue_capacity: 256 },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replicas(world),
     ));
     Gateway::spawn(
         "127.0.0.1:0",
@@ -589,9 +558,8 @@ fn sharded_stack(parts: &ServerParts, registry: &MetricsRegistry) -> GatewayHand
 #[test]
 fn both_codecs_trace_the_same_request_with_the_same_spans() {
     let world = World::generate(WorldConfig::tiny(47));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
-    let handle = sharded_stack(&parts, &registry);
+    let handle = sharded_stack(&world, &registry);
     let mut json = GatewayClient::new(handle.addr());
     let mut bin = PipelinedClient::new(handle.addr(), 1, 1).with_timeout(Duration::from_secs(5));
     let cases = [
@@ -627,9 +595,8 @@ fn out_of_range_tenants_over_the_wire_mint_no_metric_series() {
     // Tenant ids are whatever a client sends: 10 000 distinct unknown ones
     // must leave the registry — and so `/metrics` — exactly as large.
     let world = World::generate(WorldConfig::tiny(53));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
-    let handle = sharded_stack(&parts, &registry);
+    let handle = sharded_stack(&world, &registry);
     let mut bin = PipelinedClient::new(handle.addr(), 1, 64).with_timeout(Duration::from_secs(5));
     let unknown = world.tenants.len();
     let request = |i: usize| {

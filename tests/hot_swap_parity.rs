@@ -34,12 +34,13 @@ fn quick_cfg() -> TagRecConfig {
 }
 
 /// Everything needed to (re)build a serving replica around any model
-/// image — the world-derived data is identical across versions, only the
-/// model bytes change.
+/// image — the world's catalog is identical across versions and shared by
+/// every replica, only the model bytes change.
 struct Fixture {
     world: World,
     graph: HetGraph,
     texts: Vec<String>,
+    catalog: Arc<Catalog>,
     cfg: TagRecConfig,
 }
 
@@ -48,7 +49,8 @@ impl Fixture {
         let world = World::generate(WorldConfig::tiny(seed));
         let graph = world.build_graph();
         let texts: Vec<String> = world.tags.iter().map(|t| t.text()).collect();
-        Fixture { world, graph, texts, cfg: quick_cfg() }
+        let catalog = Arc::new(Catalog::from_world(&world));
+        Fixture { world, graph, texts, catalog, cfg: quick_cfg() }
     }
 
     fn train_base(&self) -> IntelliTag {
@@ -62,14 +64,7 @@ impl Fixture {
     }
 
     fn server(&self, model: IntelliTag) -> ModelServer<IntelliTag> {
-        ModelServer::new(
-            model,
-            self.world.build_kb(),
-            self.texts.clone(),
-            self.world.rqs.iter().map(|r| r.tags.clone()).collect(),
-            (0..self.world.tenants.len()).map(|t| self.world.tenant_tag_pool(t)).collect(),
-            self.world.click_frequency(),
-        )
+        ModelServer::with_catalog(model, Arc::clone(&self.catalog))
     }
 }
 

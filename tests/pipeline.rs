@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full IntelliTag pipeline on a tiny world —
 //! generate → mine tags → build graph → train models → evaluate → serve.
 
+use std::sync::Arc;
+
 use intellitag::mining::{mine_tag_inventory, TagMiner};
 use intellitag::prelude::*;
 
@@ -56,14 +58,7 @@ fn full_pipeline_smoke() {
     assert!(report.mrr > 0.12, "IntelliTag MRR {} must beat chance", report.mrr);
 
     // 3. The served system answers questions and recommends tags.
-    let server = ModelServer::new(
-        model,
-        world.build_kb(),
-        texts,
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    );
+    let server = ModelServer::with_catalog(model, Arc::new(Catalog::from_world(&world)));
     let tenant = (0..world.tenants.len()).max_by_key(|&e| world.rqs_by_tenant[e].len()).unwrap();
     let rq = &world.rqs[world.rqs_by_tenant[tenant][0]];
     let q = server.handle_question(tenant, &rq.text());
@@ -79,14 +74,7 @@ fn full_pipeline_smoke() {
 fn online_simulation_closes_the_loop() {
     let (world, train, _) = tiny_experiment();
     let pop = Popularity::from_sessions(&train, world.tags.len());
-    let server = ModelServer::new(
-        pop,
-        world.build_kb(),
-        world.tags.iter().map(|t| t.text()).collect(),
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    );
+    let server = ModelServer::with_catalog(pop, Arc::new(Catalog::from_world(&world)));
     let sim = SimConfig { days: 2, sessions_per_day: 50, ..Default::default() };
     let out = simulate_online(&server, &world, &UserModel::default(), &sim);
     assert_eq!(out.sessions, 100);

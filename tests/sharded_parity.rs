@@ -8,6 +8,8 @@
 //! tenants, empty click lists, out-of-range tag ids) — against both fronts
 //! for every shard count in {1, 2, 4} crossed with batch sizes {1, 8}.
 
+use std::sync::Arc;
+
 use intellitag::obs::MetricSample;
 use intellitag::prelude::*;
 
@@ -82,41 +84,15 @@ fn request_stream(world: &World, seed: u64, len: usize) -> Vec<Request> {
     stream
 }
 
-/// Everything a `ModelServer` replica needs, cloneable into the per-shard
-/// factory closure.
-#[derive(Clone)]
-struct ServerParts {
-    kb: KbWarehouse,
-    tag_texts: Vec<String>,
-    rq_tags: Vec<Vec<usize>>,
-    tenant_tags: Vec<Vec<usize>>,
-    counts: Vec<usize>,
-    model: Popularity,
-}
-
-impl ServerParts {
-    fn from_world(world: &World) -> Self {
-        let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
-        ServerParts {
-            kb: world.build_kb(),
-            tag_texts: world.tags.iter().map(|t| t.text()).collect(),
-            rq_tags: world.rqs.iter().map(|r| r.tags.clone()).collect(),
-            tenant_tags: (0..world.tenants.len()).map(|t| world.tenant_tag_pool(t)).collect(),
-            counts: world.click_frequency(),
-            model: Popularity::from_sessions(&train, world.tags.len()),
-        }
-    }
-
-    fn build(&self) -> ModelServer<Popularity> {
-        ModelServer::new(
-            self.model.clone(),
-            self.kb.clone(),
-            self.tag_texts.clone(),
-            self.rq_tags.clone(),
-            self.tenant_tags.clone(),
-            self.counts.clone(),
-        )
-    }
+/// A replica factory for `world`: session popularity over one shared
+/// catalog, cloneable into the per-shard factory closure.
+fn replicas(
+    world: &World,
+) -> impl Fn(usize) -> ModelServer<Popularity> + Clone + Send + Sync + 'static {
+    let catalog = Arc::new(Catalog::from_world(world));
+    let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
+    let model = Popularity::from_sessions(&train, world.tags.len());
+    move |_| ModelServer::with_catalog(model.clone(), Arc::clone(&catalog))
 }
 
 /// The replayed stream's responses, latency stripped (latency is the one
@@ -148,10 +124,10 @@ fn replay<S: TagService>(server: &S, stream: &[Request]) -> Vec<Answer> {
 #[test]
 fn sharded_front_matches_single_process_across_knobs() {
     let world = World::generate(WorldConfig::tiny(41));
-    let parts = ServerParts::from_world(&world);
+    let replica = replicas(&world);
     let stream = request_stream(&world, 2024, 160);
 
-    let single = parts.build();
+    let single = replica(0);
     let expected = replay(&single, &stream);
     // The stream exercised every request kind, including degraded ones.
     assert!(expected.iter().any(|a| matches!(a, Answer::Question { rq: Some(_), .. })));
@@ -165,9 +141,7 @@ fn sharded_front_matches_single_process_across_knobs() {
         for batch_max in [1usize, 8] {
             let registry = MetricsRegistry::new();
             let cfg = ShardConfig { shards, batch_max, queue_capacity: 64 };
-            let factory_parts = parts.clone();
-            let front =
-                ShardedServer::spawn(cfg, registry.clone(), move |_shard| factory_parts.build());
+            let front = ShardedServer::spawn(cfg, registry.clone(), replica.clone());
             let got = replay(&front, &stream);
             assert_eq!(
                 got, expected,
@@ -183,14 +157,13 @@ fn same_content_parity_holds_per_response() {
     // The struct-level `same_content` comparisons (what downstream users
     // call) must agree with the stripped-answer equality above.
     let world = World::generate(WorldConfig::tiny(17));
-    let parts = ServerParts::from_world(&world);
-    let single = parts.build();
+    let replica = replicas(&world);
+    let single = replica(0);
     let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
     let front = ShardedServer::spawn(
         ShardConfig { shards: 4, batch_max: 8, queue_capacity: 32 },
         registry,
-        move |_shard| factory_parts.build(),
+        replica,
     );
     for req in request_stream(&world, 7, 80) {
         match req {
@@ -212,13 +185,14 @@ fn same_content_parity_holds_per_response() {
     front.shutdown();
 }
 
-/// A `ModelServer` over the real IntelliTag model, retrained from scratch.
+/// A `ModelServer` over the real IntelliTag model, retrained from scratch,
+/// on the world's shared catalog.
 ///
 /// IntelliTag holds `Rc`-based parameters, so replicas cannot be cloned
 /// across worker threads; each shard's factory retrains deterministically
 /// from the same world — which is also the sharded deployment story for
 /// the real model (same checkpoint loaded per replica).
-fn build_intellitag_server(world: &World) -> ModelServer<IntelliTag> {
+fn build_intellitag_server(world: &World, catalog: &Arc<Catalog>) -> ModelServer<IntelliTag> {
     let graph = world.build_graph();
     let texts: Vec<String> = world.tags.iter().map(|t| t.text()).collect();
     let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
@@ -238,14 +212,7 @@ fn build_intellitag_server(world: &World) -> ModelServer<IntelliTag> {
         ..Default::default()
     };
     let model = IntelliTag::train(&graph, &texts, &train, cfg);
-    ModelServer::new(
-        model,
-        world.build_kb(),
-        texts,
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|t| world.tenant_tag_pool(t)).collect(),
-        world.click_frequency(),
-    )
+    ModelServer::with_catalog(model, Arc::clone(catalog))
 }
 
 #[test]
@@ -257,20 +224,21 @@ fn intellitag_replicas_match_single_process_across_knobs() {
     // sharded front at every batch knob.
     let world = World::generate(WorldConfig::tiny(61));
     let stream = request_stream(&world, 4242, 60);
-    let single = build_intellitag_server(&world);
+    let catalog = Arc::new(Catalog::from_world(&world));
+    let single = build_intellitag_server(&world, &catalog);
     let expected = replay(&single, &stream);
     assert!(expected
         .iter()
         .any(|a| matches!(a, Answer::TagClick { tags, .. } if !tags.is_empty())));
 
-    let world = std::sync::Arc::new(world);
+    let world = Arc::new(world);
     for shards in [1usize, 2] {
         for batch_max in [1usize, 8] {
             let registry = MetricsRegistry::new();
             let cfg = ShardConfig { shards, batch_max, queue_capacity: 64 };
-            let w = std::sync::Arc::clone(&world);
+            let (w, c) = (Arc::clone(&world), Arc::clone(&catalog));
             let front =
-                ShardedServer::spawn(cfg, registry, move |_shard| build_intellitag_server(&w));
+                ShardedServer::spawn(cfg, registry, move |_shard| build_intellitag_server(&w, &c));
             let got = replay(&front, &stream);
             assert_eq!(
                 got, expected,
@@ -289,8 +257,8 @@ fn concurrent_clients_keep_parity_and_fill_batches() {
     // and at least one drain must carry multiple click rows through
     // `handle_tag_click_batch`.
     let world = World::generate(WorldConfig::tiny(23));
-    let parts = ServerParts::from_world(&world);
-    let single = parts.build();
+    let replica = replicas(&world);
+    let single = replica(0);
     // Clicks-only stream so every request takes the batched tag-click path.
     let stream: Vec<Request> = request_stream(&world, 313, 600)
         .into_iter()
@@ -304,11 +272,10 @@ fn concurrent_clients_keep_parity_and_fill_batches() {
     let mut max_rows = 0;
     for _round in 0..5 {
         let registry = MetricsRegistry::new();
-        let factory_parts = parts.clone();
         let front = ShardedServer::spawn(
             ShardConfig { shards: 1, batch_max: 8, queue_capacity: 256 },
             registry.clone(),
-            move |_shard| factory_parts.build(),
+            replica.clone(),
         );
         let clients = 6;
         std::thread::scope(|scope| {
@@ -346,8 +313,8 @@ fn all_question_stream_records_no_click_batches() {
     // A 100%-question stream through a batched front: full response parity,
     // and the click-batch machinery must stay completely idle.
     let world = World::generate(WorldConfig::tiny(9));
-    let parts = ServerParts::from_world(&world);
-    let single = parts.build();
+    let replica = replicas(&world);
+    let single = replica(0);
     let stream: Vec<Request> = world
         .rqs
         .iter()
@@ -360,11 +327,10 @@ fn all_question_stream_records_no_click_batches() {
 
     let shards = 2usize;
     let registry = MetricsRegistry::new();
-    let factory_parts = parts.clone();
     let front = ShardedServer::spawn(
         ShardConfig { shards, batch_max: 8, queue_capacity: 64 },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replica,
     );
     assert_eq!(replay(&front, &stream), expected);
     front.shutdown();
@@ -382,14 +348,12 @@ fn per_shard_series_render_in_prometheus_output() {
     // rendering carries one labeled series per shard, and the merged view
     // agrees with the sum.
     let world = World::generate(WorldConfig::tiny(5));
-    let parts = ServerParts::from_world(&world);
     let registry = MetricsRegistry::new();
     let shards = 3usize;
-    let factory_parts = parts.clone();
     let front = ShardedServer::spawn(
         ShardConfig { shards, batch_max: 4, queue_capacity: 64 },
         registry.clone(),
-        move |_shard| factory_parts.build(),
+        replicas(&world),
     );
     let stream = request_stream(&world, 99, 90);
     let n = stream.len() as u64;

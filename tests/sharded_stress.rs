@@ -4,6 +4,7 @@
 //! the clients' own counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use intellitag::prelude::*;
 
@@ -25,23 +26,11 @@ impl Rng {
 }
 
 fn build_front(world: &World, cfg: ShardConfig, registry: MetricsRegistry) -> ShardedServer {
-    let kb = world.build_kb();
-    let tag_texts: Vec<String> = world.tags.iter().map(|t| t.text()).collect();
-    let rq_tags: Vec<Vec<usize>> = world.rqs.iter().map(|r| r.tags.clone()).collect();
-    let tenant_tags: Vec<Vec<usize>> =
-        (0..world.tenants.len()).map(|t| world.tenant_tag_pool(t)).collect();
-    let counts = world.click_frequency();
+    let catalog = Arc::new(Catalog::from_world(world));
     let train: Vec<Vec<usize>> = world.sessions.iter().map(|s| s.clicks.clone()).collect();
     let model = Popularity::from_sessions(&train, world.tags.len());
     ShardedServer::spawn(cfg, registry, move |_shard| {
-        ModelServer::new(
-            model.clone(),
-            kb.clone(),
-            tag_texts.clone(),
-            rq_tags.clone(),
-            tenant_tags.clone(),
-            counts.clone(),
-        )
+        ModelServer::with_catalog(model.clone(), Arc::clone(&catalog))
     })
 }
 

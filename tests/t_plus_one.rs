@@ -3,19 +3,10 @@
 //! fresh model server, and keep serving — all without the server ever
 //! running GNN layers online.
 
+use std::sync::Arc;
+
 use intellitag::online::TempDir;
 use intellitag::prelude::*;
-
-fn make_server(world: &World, model: IntelliTag) -> ModelServer<IntelliTag> {
-    ModelServer::new(
-        model,
-        world.build_kb(),
-        world.tags.iter().map(|t| t.text()).collect(),
-        world.rqs.iter().map(|r| r.tags.clone()).collect(),
-        (0..world.tenants.len()).map(|e| world.tenant_tag_pool(e)).collect(),
-        world.click_frequency(),
-    )
-}
 
 #[test]
 fn t_plus_one_retrain_upload_serve() {
@@ -25,6 +16,8 @@ fn t_plus_one_retrain_upload_serve() {
     let split = split_sessions(&world.sessions, 0);
     let all_train: Vec<Vec<usize>> = split.train.iter().map(|s| s.clicks.clone()).collect();
     let test = sequence_examples(&split.test);
+    // Every day's server answers from the same catalog; only the model moves.
+    let catalog = Arc::new(Catalog::from_world(&world));
 
     let cfg = TagRecConfig {
         dim: 16,
@@ -39,7 +32,7 @@ fn t_plus_one_retrain_upload_serve() {
     let day1 = &all_train[..all_train.len() / 2];
     let model_day1 = IntelliTag::train(&graph, &texts, day1, cfg);
     let eval_day1 = evaluate_offline(&model_day1, &test, &world, &ProtocolConfig::default());
-    let server = make_server(&world, model_day1);
+    let server = ModelServer::with_catalog(model_day1, Arc::clone(&catalog));
     let tenant = (0..world.tenants.len()).max_by_key(|&e| world.rqs_by_tenant[e].len()).unwrap();
     let first_tag = world.tenant_tag_pool(tenant)[0];
     let resp_day1 = server.handle_tag_click(tenant, &[first_tag]);
@@ -53,12 +46,12 @@ fn t_plus_one_retrain_upload_serve() {
     model_day2.save(&mut artifact).unwrap();
     // ...and bring up a fresh server from the uploaded bytes.
     let uploaded = IntelliTag::load(&graph, &texts, cfg, &mut artifact.as_slice()).unwrap();
-    let server2 = make_server(&world, uploaded);
+    let server2 = ModelServer::with_catalog(uploaded, Arc::clone(&catalog));
     let resp_day2 = server2.handle_tag_click(tenant, &[first_tag]);
     assert!(!resp_day2.recommended_tags.is_empty());
 
     // The uploaded model is byte-identical in behaviour to the retrained one.
-    let direct = make_server(&world, model_day2);
+    let direct = ModelServer::with_catalog(model_day2, Arc::clone(&catalog));
     let resp_direct = direct.handle_tag_click(tenant, &[first_tag]);
     assert_eq!(resp_day2.recommended_tags, resp_direct.recommended_tags);
     assert_eq!(resp_day2.predicted_questions, resp_direct.predicted_questions);
