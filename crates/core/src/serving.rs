@@ -10,14 +10,12 @@
 //! the paper's §VI latency budget ("respond in under 150 ms", Table VI) is
 //! only actionable when you can see where the time goes.
 
-use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
 use intellitag_baselines::SequenceRecommender;
 use intellitag_obs::{
-    tenant_tier, tier_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    SpanTimer, TraceHandle, MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC, SLO_LATENCY_METRIC,
-    SLO_TIER_LABEL,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer, TraceHandle,
+    MODEL_SWAPS_METRIC, MODEL_VERSION_METRIC,
 };
 use intellitag_search::{Hit, KbWarehouse};
 
@@ -338,9 +336,6 @@ struct ServerMetrics {
     err_bad_tenant: Arc<Counter>,
     err_bad_tag: Arc<Counter>,
     err_empty_clicks: Arc<Counter>,
-    /// Per-tenant-tier latency series (`slo.latency_us{tenant_tier=..}`),
-    /// indexed by [`tier_index`].
-    slo_latency: [Arc<Histogram>; 3],
     /// Snapshot version currently installed (`serving.model_version`).
     model_version: Arc<Gauge>,
     /// Hot-swaps applied by this replica (`serving.swaps`).
@@ -365,9 +360,6 @@ impl ServerMetrics {
             err_bad_tenant: registry.counter("serving.error.bad_tenant"),
             err_bad_tag: registry.counter("serving.error.bad_tag"),
             err_empty_clicks: registry.counter("serving.error.empty_clicks"),
-            slo_latency: [0u64, 1, 2].map(|t| {
-                registry.histogram_labeled(SLO_LATENCY_METRIC, &[(SLO_TIER_LABEL, tenant_tier(t))])
-            }),
             model_version: registry.gauge(MODEL_VERSION_METRIC),
             swaps: registry.counter(MODEL_SWAPS_METRIC),
             registry,
@@ -523,11 +515,6 @@ impl<M: SequenceRecommender> ModelServer<M> {
         None
     }
 
-    /// The wrapped recommender.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
     /// Serves one request — the path every front and every blocking call
     /// reaches a replica through. A tag click is a drain of one.
     pub(crate) fn serve(&self, request: Request, trace: Option<&TraceHandle>) -> Reply {
@@ -549,11 +536,10 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// exit — including degraded and empty responses — funnels through
     /// here, so the counter reconciles exactly against whatever front
     /// (gateway, sharded queue) is driving this server.
-    fn finish_request(&self, tenant: usize, timer: SpanTimer, path: &Histogram) -> u64 {
+    fn finish_request(&self, timer: SpanTimer, path: &Histogram) -> u64 {
         let us = timer.elapsed_us();
         path.record(us);
         self.obs.request_latency.record(us);
-        self.obs.slo_latency[tier_index(tenant as u64)].record(us);
         self.obs.requests.inc();
         us
     }
@@ -566,7 +552,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
         let timer = SpanTimer::start();
         self.obs.tenant_request(tenant);
         let tags = trace_stage(trace, "cold_start", || self.cold_start_inner(tenant));
-        self.finish_request(tenant, timer, &self.obs.cold_start_latency);
+        self.finish_request(timer, &self.obs.cold_start_latency);
         tags
     }
 
@@ -596,7 +582,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
         let catalog = &*self.catalog;
         if tenant >= catalog.tenant_tags.len() {
             self.obs.err_bad_tenant.inc();
-            let latency_us = self.finish_request(tenant, timer, &self.obs.question_latency);
+            let latency_us = self.finish_request(timer, &self.obs.question_latency);
             return QuestionResponse { latency_us, ..Default::default() };
         }
         let best = match &self.qa_matcher {
@@ -642,7 +628,7 @@ impl<M: SequenceRecommender> ModelServer<M> {
             }
             None => (None, None, self.cold_start_inner(tenant)),
         };
-        let latency_us = self.finish_request(tenant, timer, &self.obs.question_latency);
+        let latency_us = self.finish_request(timer, &self.obs.question_latency);
         QuestionResponse { rq, answer, recommended_tags, latency_us }
     }
 
@@ -724,10 +710,10 @@ impl<M: SequenceRecommender> ModelServer<M> {
     /// history becomes an ES query whose recall is re-ranked by tag overlap.
     /// `traces` runs parallel to `reqs`; a missing entry means untraced.
     ///
-    /// Validation and ranking run per request, while
-    /// the model forward is issued once via
-    /// [`SequenceRecommender::score_candidates_batch`] over the deduplicated
-    /// `(tenant, clicks)` rows, and BM25 recall once per row. Counters and
+    /// Validation, ranking and BM25 recall run per request, while the model
+    /// forward is issued once via
+    /// [`SequenceRecommender::score_candidates_batch`] with one row per
+    /// valid request. Counters and
     /// the per-path histograms tick once per request, so registry
     /// reconciliation (`serving.requests` == requests served) holds; the
     /// `serving.stage.score_us` samples and each traced request's `score`
@@ -753,25 +739,17 @@ impl<M: SequenceRecommender> ModelServer<M> {
             let timer = SpanTimer::start();
             self.obs.tenant_request(tenant);
             let Some(clicks) = self.valid_clicks(tenant, raw) else {
-                let latency_us = self.finish_request(tenant, timer, &self.obs.click_latency);
+                let latency_us = self.finish_request(timer, &self.obs.click_latency);
                 out[idx] = Some(TagClickResponse { latency_us, ..Default::default() });
                 continue;
             };
             pending.push(Pending { idx, tenant, clicks, timer, trace });
         }
 
-        // --- one forward over every unique row (identical rows share one:
-        // the forward is deterministic) -------------------------------------
-        let mut row_of: HashMap<(usize, &[usize]), usize> = HashMap::new();
-        let mut batch: Vec<(&[usize], &[usize])> = Vec::new();
-        let rows: Vec<usize> = pending
+        // --- one forward, one row per request -------------------------------
+        let batch: Vec<(&[usize], &[usize])> = pending
             .iter()
-            .map(|p| {
-                *row_of.entry((p.tenant, &p.clicks[..])).or_insert_with(|| {
-                    batch.push((&p.clicks[..], &self.catalog.tenant_tags[p.tenant][..]));
-                    batch.len() - 1
-                })
-            })
+            .map(|p| (&p.clicks[..], &self.catalog.tenant_tags[p.tenant][..]))
             .collect();
         let forward = SpanTimer::start();
         let scores =
@@ -786,29 +764,24 @@ impl<M: SequenceRecommender> ModelServer<M> {
             }
         }
 
-        // --- rank, recall (once per row) and rerank per request -----------
-        let mut recalls: Vec<Option<Vec<Hit>>> = scores.iter().map(|_| None).collect();
-        for (p, row) in pending.into_iter().zip(rows) {
+        // --- rank, recall and rerank per request ----------------------------
+        for (p, scores) in pending.into_iter().zip(&scores) {
             // One sorted lookup set per request: membership checks drop
             // from O(clicks) scans per candidate to O(log clicks).
             let click_set = sorted_click_set(&p.clicks);
             let pool = &self.catalog.tenant_tags[p.tenant];
-            let recommended_tags = self.recommend_from_scores(&click_set, pool, &scores[row]);
+            let recommended_tags = self.recommend_from_scores(&click_set, pool, scores);
             let recall_span = self.obs.stage_recall.span();
-            let recall = trace_stage(p.trace, "recall", || match recalls[row].take() {
-                Some(hits) => hits,
-                None => {
-                    self.catalog.kb.recall_for_tenant(&self.click_query(&p.clicks), p.tenant, 20)
-                }
+            let recall = trace_stage(p.trace, "recall", || {
+                self.catalog.kb.recall_for_tenant(&self.click_query(&p.clicks), p.tenant, 20)
             });
             recall_span.finish();
             let rerank_span = self.obs.stage_rerank.span();
             let predicted_questions =
                 trace_stage(p.trace, "rerank", || self.rerank_recall(&click_set, &recall));
             rerank_span.finish();
-            recalls[row] = Some(recall);
 
-            let latency_us = self.finish_request(p.tenant, p.timer, &self.obs.click_latency);
+            let latency_us = self.finish_request(p.timer, &self.obs.click_latency);
             out[p.idx] =
                 Some(TagClickResponse { recommended_tags, predicted_questions, latency_us });
         }
@@ -1150,26 +1123,6 @@ pub(crate) mod tests {
         // Untraced requests in a traced drain are fine (short traces slice).
         let out = batch_server.click_drain(&reqs, &[]);
         assert_eq!(out.len(), reqs.len());
-    }
-
-    #[test]
-    fn slo_series_record_per_tier_latency() {
-        use intellitag_obs::SloReport;
-        let s = server();
-        let _ = s.handle_tag_click(0, &[0]); // tenant 0 -> gold
-        let _ = s.handle_tag_click(1, &[4]); // tenant 1 -> silver
-        let _ = s.handle_question(0, "change password"); // gold again
-        let gold =
-            s.metrics().histogram_labeled("slo.latency_us", &[("tenant_tier", "gold")]).snapshot();
-        assert_eq!(gold.count, 2);
-        let silver = s
-            .metrics()
-            .histogram_labeled("slo.latency_us", &[("tenant_tier", "silver")])
-            .snapshot();
-        assert_eq!(silver.count, 1);
-        let report = SloReport::from_registry(s.metrics(), 150_000);
-        let tiers: Vec<&str> = report.tiers.iter().map(|t| t.tier.as_str()).collect();
-        assert!(tiers.contains(&"gold") && tiers.contains(&"silver"), "{tiers:?}");
     }
 
     #[test]

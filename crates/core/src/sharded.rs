@@ -35,8 +35,7 @@ use std::thread::JoinHandle;
 
 use intellitag_baselines::SequenceRecommender;
 use intellitag_obs::{
-    tenant_tier, tier_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    SpanTimer, TraceHandle, SLO_SHED_METRIC, SLO_TIER_LABEL,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer, TraceHandle,
 };
 
 use crate::serving::{
@@ -252,10 +251,6 @@ pub struct ShardedServer {
     policy: String,
     config: ShardConfig,
     shed_total: Arc<Counter>,
-    /// Per-tenant-tier shed counters (`slo.shed{tenant_tier=..}`), bound
-    /// once and indexed by [`tier_index`] so the shed path never formats
-    /// names.
-    slo_shed: [Arc<Counter>; 3],
     worker_lost: Arc<Counter>,
     /// Highest snapshot version any worker has applied (workers fence swaps
     /// at their own drain boundaries, so individual replicas may trail this
@@ -389,9 +384,6 @@ impl ShardedServer {
             workers,
             policy: ready.into_iter().next().map(|(p, _)| p).unwrap_or_default(),
             shed_total: registry.counter("sharded.shed_total"),
-            slo_shed: [0u64, 1, 2].map(|t| {
-                registry.counter_labeled(SLO_SHED_METRIC, &[(SLO_TIER_LABEL, tenant_tier(t))])
-            }),
             worker_lost: registry.counter("sharded.error.worker_lost"),
             registry,
             config: cfg,
@@ -472,8 +464,7 @@ impl TagService for ShardedServer {
     /// `queue` tagged `token` when the shard finishes it, however drains
     /// batch or reorder work. The trace rides the queue: the worker closes
     /// a `shard.queue` span at dequeue, wraps the serving in a `drain`
-    /// span, and the replica records per-stage spans in between. A shed
-    /// ticks the tenant tier's `slo.shed{tenant_tier=..}` counter.
+    /// span, and the replica records per-stage spans in between.
     fn submit(
         &self,
         request: Request,
@@ -483,14 +474,10 @@ impl TagService for ShardedServer {
         token: u64,
     ) -> Result<(), ShedReason> {
         let timer = SpanTimer::start();
-        let tenant = request.tenant();
+        let shard = self.shard_for(request.tenant());
         let trace = trace.map(|t| (t.clone(), t.now_us()));
         let job = Job { request, reply: ReplyTo::new(queue.clone(), token), trace, timer };
-        self.admit(admission, self.shard_for(tenant), job).inspect_err(|&reason| {
-            if reason == ShedReason::Overloaded {
-                self.slo_shed[tier_index(tenant as u64)].inc();
-            }
-        })
+        self.admit(admission, shard, job)
     }
 
     fn metrics(&self) -> &MetricsRegistry {
@@ -931,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn overload_sheds_tick_the_tenant_tiers_slo_counter() {
+    fn overload_sheds_tick_the_shard_and_total_shed_counters() {
         // A one-deep queue with a tight client loop: enqueueing is orders of
         // magnitude faster than serving, so sheds appear within a few tries.
         let (front, registry) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 });
@@ -940,28 +927,32 @@ mod tests {
         // then shed a real request while the worker is still backed up.
         // Filling is ~ns and serving is ~µs, so a few attempts suffice.
         let mut parked = Vec::new();
-        let mut shed = false;
+        let (mut shed, mut refused) = (false, 0u64);
         for _ in 0..10_000 {
             loop {
                 let (job, rx) = click_job(1, &[0]);
                 match front.admit(Admission::Shed, 0, job) {
                     Ok(()) => parked.push(rx),
-                    Err(_) => break, // queue full
+                    Err(reason) => {
+                        // Queue full.
+                        assert_eq!(reason, ShedReason::Overloaded);
+                        refused += 1;
+                        break;
+                    }
                 }
             }
             let request = Request::TagClick { tenant: 1, clicks: vec![0] };
             if matches!(front.call(request, None, Admission::Shed), Err(ShedReason::Overloaded)) {
+                refused += 1;
                 shed = true;
                 break;
             }
         }
         assert!(shed, "no shed observed after 10k full-queue attempts");
-        // Tenant 1 is the silver tier; the shed must land on its counter
-        // (raw `admit` sheds bypass the tier accounting by design).
-        let silver = registry.counter_labeled(SLO_SHED_METRIC, &[(SLO_TIER_LABEL, "silver")]);
-        assert!(silver.get() >= 1, "silver slo.shed not ticked");
-        let gold = registry.counter_labeled(SLO_SHED_METRIC, &[(SLO_TIER_LABEL, "gold")]);
-        assert_eq!(gold.get(), 0);
+        // Every refusal, raw or through `call`, ticks both shed counters once.
+        assert_eq!(registry.counter("sharded.shed_total").get(), refused);
+        assert_eq!(registry.counter_labeled("sharded.shed", &[("shard", "0")]).get(), refused);
+        assert_eq!(front.shed_count(), refused);
         drop(parked);
         front.shutdown();
     }
@@ -1054,28 +1045,33 @@ mod tests {
         let (front, registry) = front(ShardConfig { shards: 1, batch_max: 1, queue_capacity: 1 });
         let (queue, _completions) = mpsc::channel();
         // Park raw sends until the queue is full, then a submit must shed
-        // (never block) and tick the tenant tier's slo.shed counter.
+        // (never block) and tick the shard's and the total shed counters.
         let mut parked = Vec::new();
-        let mut shed = false;
+        let (mut shed, mut refused) = (false, 0u64);
         for _ in 0..10_000 {
             loop {
                 let (job, rx) = click_job(1, &[0]);
                 match front.admit(Admission::Shed, 0, job) {
                     Ok(()) => parked.push(rx),
-                    Err(_) => break,
+                    Err(reason) => {
+                        assert_eq!(reason, ShedReason::Overloaded);
+                        refused += 1;
+                        break;
+                    }
                 }
             }
             let request = Request::TagClick { tenant: 1, clicks: vec![0] };
             if front.submit(request, None, Admission::Shed, &queue, 0)
                 == Err(ShedReason::Overloaded)
             {
+                refused += 1;
                 shed = true;
                 break;
             }
         }
         assert!(shed, "no shed observed after 10k full-queue submits");
-        let silver = registry.counter_labeled(SLO_SHED_METRIC, &[(SLO_TIER_LABEL, "silver")]);
-        assert!(silver.get() >= 1, "submit shed must tick the tier's slo.shed");
+        assert_eq!(registry.counter("sharded.shed_total").get(), refused);
+        assert_eq!(registry.counter_labeled("sharded.shed", &[("shard", "0")]).get(), refused);
         drop(parked);
         front.shutdown();
     }

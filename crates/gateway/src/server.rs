@@ -16,8 +16,8 @@
 //! a binary connection is served by two halves that never poll: the worker
 //! blocks in `read`, dispatching request frames through
 //! [`TagService::submit`] with the connection's completion queue, and the
-//! writer half (a scoped thread once a request has had to wait for a
-//! shard) blocks on that queue, writing replies
+//! writer half (a scoped `gw-writer-N` thread started with the connection)
+//! blocks on that queue, writing replies
 //! **out of order** the moment the sharded front finishes them, matched to
 //! their requests by the client-chosen correlation id.
 //!
@@ -577,9 +577,12 @@ impl BinaryConn {
 /// it **blocks in `read`** (idle deadline only), decodes request frames and
 /// dispatches them through [`TagService::submit`], so the sharded front's
 /// queue admission — and its shedding — applies per frame. The writer half
-/// **blocks on the connection's completion queue** and writes each reply
-/// the moment the front finishes it, in completion order, matched to its
-/// request by the echoed correlation id.
+/// runs on a scoped `gw-writer-N` thread started as soon as the connection
+/// sniffs as binary: it **blocks on the connection's completion queue** and
+/// is the only writer of reply frames, each written the moment the front
+/// finishes it, in completion order, matched to its request by the echoed
+/// correlation id. When that thread cannot be started, the connection is
+/// closed unread.
 fn serve_binary_connection<S: TagService>(
     service: &S,
     reader: BufReader<TcpStream>,
@@ -591,21 +594,21 @@ fn serve_binary_connection<S: TagService>(
 ) {
     let conn = &BinaryConn::default();
     let (queue, completions) = mpsc::channel();
-    let writer = Some(WriterHalf { completions, conn, socket, metrics, out: Vec::new() });
+    let writer = WriterHalf { completions, conn, socket, metrics, out: Vec::new() };
+    let name = thread::current().name().unwrap_or("gw-worker").replace("worker", "writer");
     thread::scope(|scope| {
-        let mut half =
-            ReaderHalf { service, conn, queue, metrics, shutdown, cfg, sink, scope, writer };
+        if thread::Builder::new().name(name).spawn_scoped(scope, || writer.run()).is_err() {
+            return;
+        }
+        let half = ReaderHalf { service, conn, queue, metrics, shutdown, cfg, sink };
         half.read_requests(reader);
         // Done reading (EOF, idle, shutdown, or a fatal frame): start the
         // drain clock and park an empty wake-up frame under the same lock,
         // so a writer that sees the deadline also sees the wake-up owed.
+        // The scope then joins the writer once it has drained.
         let mut st = conn.lock();
         st.drain_by = Some(Instant::now() + cfg.read_timeout);
         half.complete_locally(st, Vec::new());
-        // Drain here, unless the writer has a thread (which the scope joins).
-        if let Some(writer) = half.writer.take() {
-            writer.run();
-        }
     });
 }
 
@@ -623,9 +626,9 @@ impl WriterHalf<'_> {
     /// permits, encodes the batch and issues one write. Returns how many
     /// entries are still parked and the drain deadline, as of the lock the
     /// batch was taken under.
-    fn flush(&mut self, first: Option<Completion>) -> io::Result<(usize, Option<Instant>)> {
+    fn flush(&mut self, first: Completion) -> io::Result<(usize, Option<Instant>)> {
         let mut st = self.conn.lock();
-        let batch = first.into_iter().chain(self.completions.try_iter());
+        let batch = std::iter::once(first).chain(self.completions.try_iter());
         let done: Vec<_> = batch.filter_map(|c| Some((st.take(c.token)?, c.reply))).collect();
         let state = (st.in_flight(), st.drain_by);
         drop(st);
@@ -662,7 +665,7 @@ impl WriterHalf<'_> {
                 }
             };
             let Some(first) = first else { break };
-            match self.flush(Some(first)) {
+            match self.flush(first) {
                 Err(_) => return,
                 Ok((0, Some(_))) => break,
                 Ok((_, by)) => drain_by = by,
@@ -680,60 +683,26 @@ impl WriterHalf<'_> {
 }
 
 /// The reader half: what a request frame needs on its way to the front.
-struct ReaderHalf<'scope, 'env, S> {
-    service: &'env S,
-    conn: &'env BinaryConn,
+struct ReaderHalf<'a, S> {
+    service: &'a S,
+    conn: &'a BinaryConn,
     queue: CompletionQueue,
-    metrics: &'env GatewayMetrics,
-    shutdown: &'env AtomicBool,
-    cfg: &'env GatewayConfig,
-    sink: &'env SharedSink,
-    scope: &'scope thread::Scope<'scope, 'env>,
-    /// The writer half, until it moves to a thread of its own.
-    writer: Option<WriterHalf<'env>>,
+    metrics: &'a GatewayMetrics,
+    shutdown: &'a AtomicBool,
+    cfg: &'a GatewayConfig,
+    sink: &'a SharedSink,
 }
 
-impl<S: TagService> ReaderHalf<'_, '_, S> {
-    /// Called before this thread blocks, in `read` or for a permit. While
-    /// it still holds the writer half it writes what has completed itself;
-    /// if a request is still in flight after that, the writer half moves to
-    /// a `gw-writer-N` thread for the rest of the connection. `false` when
-    /// the socket is broken.
-    fn settle(&mut self) -> bool {
-        let Some(mut writer) = self.writer.take() else { return true };
-        match writer.flush(None) {
-            Err(_) => false,
-            Ok((0, _)) => {
-                self.writer = Some(writer);
-                true
-            }
-            Ok(_) => {
-                let name =
-                    thread::current().name().unwrap_or("gw-worker").replace("worker", "writer");
-                let spawned =
-                    thread::Builder::new().name(name).spawn_scoped(self.scope, || writer.run());
-                if spawned.is_err() {
-                    self.conn.lock().writer_gone = true;
-                }
-                spawned.is_ok()
-            }
-        }
-    }
-
+impl<S: TagService> ReaderHalf<'_, S> {
     /// Parks an entry and returns its completion token, blocking while
     /// `binary_inflight` entries are already parked — ordinary TCP
     /// backpressure, since the reader is not reading meanwhile. `None` when
     /// the connection is ending (writer gone, or shutdown seen at the cap):
     /// the entry is answered past the cap — a request with a typed
     /// `ShuttingDown` frame, accounted as usual — and the reader must stop.
-    fn park(&mut self, parked: Parked) -> Option<u64> {
+    fn park(&self, parked: Parked) -> Option<u64> {
         let cap = self.cfg.binary_inflight;
         let mut st = self.conn.lock();
-        if st.in_flight() >= cap && self.writer.is_some() {
-            drop(st);
-            self.settle();
-            st = self.conn.lock();
-        }
         while st.in_flight() >= cap && !st.writer_gone && !self.shutdown.load(Ordering::SeqCst) {
             let wait = self.conn.permit.wait_timeout(st, self.cfg.read_timeout);
             st = wait.unwrap_or_else(|e| e.into_inner()).0;
@@ -759,7 +728,7 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
     /// a permit like a request, so a client that streams refusable frames
     /// without reading its replies is backpressured the same way. `false`
     /// when the connection is ending.
-    fn refuse(&mut self, kind: &str, ids: (u64, u64), code: ErrorCode, why: &str) -> bool {
+    fn refuse(&self, kind: &str, ids: (u64, u64), code: ErrorCode, why: &str) -> bool {
         self.metrics.wire_err(kind);
         self.metrics.request("invalid_bin", 400, 0);
         let frame = codec::encode_error_frame(ids.0, ids.1, code, why);
@@ -770,7 +739,7 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
     /// Decode, dispatch, read more — until the client is done sending
     /// (EOF), idles past the read deadline with nothing owed, breaks the
     /// frame stream, or the gateway shuts down.
-    fn read_requests(&mut self, mut reader: BufReader<TcpStream>) {
+    fn read_requests(&self, mut reader: BufReader<TcpStream>) {
         let mut buf: Vec<u8> = Vec::with_capacity(4 * 1024);
         loop {
             // Decode and dispatch every complete frame in the buffer.
@@ -797,7 +766,7 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
                     return;
                 }
             }
-            if self.shutdown.load(Ordering::SeqCst) || !self.settle() {
+            if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
             // Block for more bytes. The only deadline is the idle one: past
@@ -831,7 +800,7 @@ impl<S: TagService> ReaderHalf<'_, '_, S> {
     /// then the request is submitted with the connection's completion
     /// queue, so the reply — inline or from a shard — reaches the writer
     /// the moment it exists. Returns `false` when the connection is ending.
-    fn dispatch_frame(&mut self, frame: codec::Frame) -> bool {
+    fn dispatch_frame(&self, frame: codec::Frame) -> bool {
         let ids = (frame.corr_id, frame.trace_id);
         let (route, click) = match frame.frame_type {
             FrameType::Recommend => ("recommend_bin", false),

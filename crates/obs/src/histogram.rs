@@ -7,7 +7,7 @@
 //! is `1/SUB_BUCKETS` (6.25%) across the whole `u64` range.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Linear sub-buckets per power of two (the HDR resolution knob).
 pub const SUB_BUCKETS: usize = 16;
@@ -96,11 +96,6 @@ impl Histogram {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(v)));
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Records a wall-clock duration as microseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
     /// Number of recorded samples.
@@ -211,21 +206,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Fraction of recorded samples whose bucket lies strictly above
-    /// `threshold` (`0.0` when empty). Conservative at bucket resolution: a
-    /// sample counts as above only if its whole bucket is above, so the
-    /// result is a lower bound within one bucket width of the true
-    /// fraction. Used by SLO reports to estimate threshold violations.
-    pub fn fraction_above(&self, threshold: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let first_above = bucket_index_for_value(threshold) + 1;
-        let above: u64 =
-            self.buckets.iter().filter(|&&(i, _)| i >= first_above).map(|&(_, c)| c).sum();
-        above as f64 / self.count as f64
-    }
-
     /// Inclusive upper bound of a bucket index (for Prometheus `le` labels).
     pub fn bucket_upper_bound(i: usize) -> u64 {
         bucket_bounds(i).1
@@ -310,8 +290,8 @@ impl SpanTimer {
     }
 }
 
-/// RAII stage span from [`Histogram::span`]: records elapsed microseconds on
-/// drop unless [`Span::discard`]ed.
+/// RAII stage span from [`Histogram::span`]: records elapsed microseconds
+/// once, at [`Span::finish`] or on drop.
 #[derive(Debug)]
 pub struct Span<'a> {
     hist: &'a Histogram,
@@ -324,11 +304,6 @@ impl Span<'_> {
     pub fn finish(mut self) -> u64 {
         self.armed = false;
         self.timer.record(self.hist)
-    }
-
-    /// Drops the span without recording (e.g. a stage that bailed early).
-    pub fn discard(mut self) {
-        self.armed = false;
     }
 }
 
@@ -548,8 +523,7 @@ mod tests {
             let _s = h.span();
         }
         assert_eq!(h.count(), 1);
-        h.span().discard();
-        assert_eq!(h.count(), 1);
+        // A finished span records once: its drop is skipped.
         let us = h.span().finish();
         assert_eq!(h.count(), 2);
         assert!(us < 1_000_000);

@@ -28,9 +28,6 @@
 //!   span list (stage name + start/end micros + shard/batch annotations)
 //!   through the whole serving spine; [`TraceCollector`] retains the K
 //!   slowest traces per window plus a 1-in-N sample and exports JSON lines.
-//! * SLO accounting — per-tenant-tier labeled series
-//!   (`slo.latency_us{tenant_tier="gold"}`) folded into an [`SloReport`]
-//!   with per-tier p50/p99, shed fraction and error-budget burn.
 //! * Continuous-training names — the WAL / trainer / hot-swap series
 //!   ([`MODEL_VERSION_METRIC`], [`WAL_APPENDS_METRIC`], …) shared by the
 //!   serving, gateway and online crates.
@@ -42,7 +39,6 @@ mod histogram;
 mod metric;
 mod online;
 mod registry;
-mod slo;
 mod trace;
 
 pub use export::{labeled, parse_prometheus, render_prometheus, MetricSample};
@@ -57,10 +53,6 @@ pub use online::{
     WAL_FSYNCS_METRIC, WAL_TRUNCATED_BYTES_METRIC,
 };
 pub use registry::{Metric, MetricsRegistry};
-pub use slo::{
-    tenant_tier, tier_index, SloReport, TierSlo, SLO_LATENCY_METRIC, SLO_SHED_METRIC,
-    SLO_TIER_LABEL,
-};
 pub use trace::{
     format_trace_id, parse_trace_id, FinishedTrace, TraceCollector, TraceConfig, TraceCtx,
     TraceHandle, TraceIdGen, TraceSpan,

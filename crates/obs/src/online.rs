@@ -4,9 +4,8 @@
 //! The loop spans three crates — `intellitag-core` (serving replicas apply
 //! swaps), `intellitag-gateway` (event ingestion) and `intellitag-online`
 //! (WAL, trainer, registry) — all publishing into one shared
-//! [`crate::MetricsRegistry`]. Naming the series here, like
-//! [`crate::SLO_LATENCY_METRIC`] does for the SLO series, keeps producers
-//! and dashboards agreeing on spelling without cross-crate string literals.
+//! [`crate::MetricsRegistry`]. Naming the series here keeps producers and
+//! dashboards agreeing on spelling without cross-crate string literals.
 
 /// Gauge: snapshot version currently installed in the serving replicas
 /// (0 until a published snapshot has been swapped in).

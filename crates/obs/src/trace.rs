@@ -109,11 +109,6 @@ impl TraceHandle {
         TraceHandle(Arc::new(Mutex::new(TraceCtx::new(trace_id))))
     }
 
-    /// The trace id.
-    pub fn id(&self) -> u64 {
-        self.lock().trace_id
-    }
-
     /// Microseconds since the trace origin — use as span start/end stamps.
     pub fn now_us(&self) -> u64 {
         self.lock().now_us()
@@ -134,11 +129,6 @@ impl TraceHandle {
         batch_rows: Option<u32>,
     ) {
         self.lock().record_annotated(name, start_us, end_us, shard, batch_rows);
-    }
-
-    /// Runs `f` with the locked context, for multi-field access.
-    pub fn with<R>(&self, f: impl FnOnce(&mut TraceCtx) -> R) -> R {
-        f(&mut self.lock())
     }
 
     /// Copies out the finished form (id, total, spans) for retention.

@@ -23,21 +23,11 @@ struct Posting {
     tf: u32,
 }
 
-/// BM25 parameters. The defaults (`k1 = 1.2`, `b = 0.75`) are ElasticSearch's
-/// defaults, matching the behaviour of the substituted component.
-#[derive(Debug, Clone, Copy)]
-pub struct Bm25Params {
-    /// Term-frequency saturation.
-    pub k1: f32,
-    /// Length normalization strength.
-    pub b: f32,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
+/// BM25 term-frequency saturation: ElasticSearch's default, matching the
+/// behaviour of the substituted component.
+const K1: f32 = 1.2;
+/// BM25 length-normalization strength (ElasticSearch's default).
+const B: f32 = 0.75;
 
 /// An append-only inverted index over tokenized documents.
 #[derive(Debug, Clone, Default)]
@@ -45,18 +35,12 @@ pub struct InvertedIndex {
     postings: HashMap<String, Vec<Posting>>,
     doc_len: Vec<u32>,
     total_len: u64,
-    params: Bm25Params,
 }
 
 impl InvertedIndex {
-    /// Creates an empty index with default BM25 parameters.
+    /// Creates an empty index.
     pub fn new() -> Self {
         InvertedIndex::default()
-    }
-
-    /// Creates an empty index with custom BM25 parameters.
-    pub fn with_params(params: Bm25Params) -> Self {
-        InvertedIndex { params, ..Default::default() }
     }
 
     /// Adds a tokenized document and returns its id (dense, insertion order).
@@ -123,9 +107,8 @@ impl InvertedIndex {
             let idf = self.idf(term);
             for p in posts {
                 let tf = p.tf as f32;
-                let len_norm =
-                    1.0 - self.params.b + self.params.b * self.doc_len[p.doc] as f32 / avg;
-                let s = idf * tf * (self.params.k1 + 1.0) / (tf + self.params.k1 * len_norm);
+                let len_norm = 1.0 - B + B * self.doc_len[p.doc] as f32 / avg;
+                let s = idf * tf * (K1 + 1.0) / (tf + K1 * len_norm);
                 *scores.entry(p.doc).or_default() += q_weight * s;
             }
         }

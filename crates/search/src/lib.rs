@@ -15,5 +15,5 @@
 mod index;
 mod warehouse;
 
-pub use index::{Bm25Params, Hit, InvertedIndex};
+pub use index::{Hit, InvertedIndex};
 pub use warehouse::{KbWarehouse, QaPair};

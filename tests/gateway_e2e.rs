@@ -449,11 +449,9 @@ fn client_trace_ids_round_trip_with_full_span_decomposition() {
         assert!(names.contains(&expected), "batched trace missing {expected}: {names:?}");
     }
 
-    // 3. The SLO series saw every completed request, split by tier.
-    let report = SloReport::from_registry(&registry, 150_000);
-    assert!(!report.tiers.is_empty(), "slo.latency_us series missing");
-    let total: u64 = report.tiers.iter().map(|t| t.count).sum();
-    assert_eq!(total, registry.counter("serving.requests").get());
+    // 3. The end-to-end latency series saw every completed request.
+    let latency = registry.histogram("serving.request_us").snapshot();
+    assert_eq!(latency.count, registry.counter("serving.requests").get());
 
     handle.shutdown();
     drop(front);
